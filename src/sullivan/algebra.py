@@ -15,15 +15,18 @@ generator appearing twice kills the monomial.
 
 Everything is exact: coefficients are fractions.Fraction throughout.
 Models are immutable and hashable so degree-wise data (bases, boundary
-matrices) can be memoized per model.
+matrices) can be memoized per model.  `search_differentials` is the one
+backtracking search over differentials; the realizability and the
+relative-model searches plug their prunes into it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 Scalar = Fraction | int
 
@@ -87,10 +90,6 @@ class Monomial:
         for name, e in self.exps:
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
 
 
 class Element:
@@ -218,13 +217,13 @@ class Element:
         parts = []
         for mon, c in self.sorted_terms():
             if mon.is_unit:
-                parts.append(_format_coeff(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append(mon.format())
             elif c == -1:
                 parts.append(f"-{mon.format()}")
             else:
-                parts.append(f"{_format_coeff(c)}*{mon.format()}")
+                parts.append(f"{c}*{mon.format()}")
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
 
@@ -528,20 +527,72 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
     return report
 
 
-# -- module-level aliases mirroring the operation names -------------------
+# -- differential search -------------------------------------------------
 
 
-def normalize_monomial(model: SullivanModel, word: Sequence[str]) -> tuple[Monomial | None, int]:
-    return model.normalize_word(word)
+def coefficient_box(
+    model: SullivanModel,
+    monomials: Sequence[Monomial],
+    coeffs: Sequence[Scalar],
+    start: int = 0,
+) -> Iterator[tuple[int, Element]]:
+    """Every sum of c_m * m over monomials with each c_m drawn from coeffs.
+
+    The sums come numbered in itertools.product order (the coefficient of
+    the last monomial varies fastest), from number start on.
+    """
+    combos = itertools.product(coeffs, repeat=len(monomials))
+    for number, combo in enumerate(itertools.islice(combos, start, None), start):
+        yield number, Element(model, dict(zip(monomials, combo)))
 
 
-def mul(a: Element, b: Element) -> Element:
-    return a * b
+SearchPath = list[tuple[int, Element]]
 
 
-def differential(x: Element) -> Element:
-    return x.model.d(x)
+def search_differentials(
+    model: SullivanModel,
+    gens: Sequence[GeneratorSpec],
+    options: Callable[[SearchPath], Iterable[tuple[int, Element]]],
+    node: Callable[[SearchPath, SullivanModel], bool],
+    leaf: Callable[[SearchPath, SullivanModel], Any],
+) -> tuple[Any, int]:
+    """Depth-first search over the differentials of gens, in their order.
 
+    The path lists the (number, value) choices made for gens[:len(path)];
+    options(path) offers the numbered values for the next generator.  A
+    value v is dropped, and counted, when d(v) != 0, checked as soon as
+    every generator v touches is assigned; generators outside gens count
+    as assigned from the start.  node(path, model) runs at every node,
+    the root included, and returns False to prune there.  leaf(path,
+    model) runs at every complete assignment; its first result other than
+    None ends the search.  Returns that result (None once the tree is
+    exhausted) and the number of values dropped by the d*d check.
+    """
+    names = [g.name for g in gens]
+    path: SearchPath = []
+    dropped = 0
 
-def basis_of_degree(model: SullivanModel, k: int) -> tuple[Monomial, ...]:
-    return model.basis_of_degree(k)
+    def walk(current: SullivanModel, pending: list) -> Any:
+        nonlocal dropped
+        if not node(path, current):
+            return None
+        depth = len(path)
+        if depth == len(names):
+            return leaf(path, current)
+        later = set(names[depth + 1:])
+        for number, value in options(path):
+            nxt = current.with_differentials({names[depth]: value})
+            waiting = pending
+            if value:
+                waiting = [(value, {n for m in value.terms for n, _ in m.exps})] + pending
+            if any(not nxt.d(v).is_zero() for v, used in waiting if not used & later):
+                dropped += 1
+                continue
+            path.append((number, value))
+            found = walk(nxt, [(v, used) for v, used in waiting if used & later])
+            path.pop()
+            if found is not None:
+                return found
+        return None
+
+    return walk(model, []), dropped

@@ -36,6 +36,8 @@ from .ellipticity import (
 )
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
 from .pipeline import (
+    REPRODUCE_TARGETS,
+    _TARGET_ALIASES,
     SpaceCatalogEntry,
     analyze,
     audit_table,
@@ -70,15 +72,26 @@ def _default_coeffs(args, fallback: tuple) -> tuple:
     return fallback
 
 
+def _degree(text: str) -> int:
+    """A nonnegative degree, for --max-degree and SULLIVAN_MAX_DEGREE."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _default_max_degree(args) -> int:
     if args.max_degree is not None:
         return args.max_degree
     env = os.environ.get(ENV_MAX_DEGREE)
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise CommandError(f"bad {ENV_MAX_DEGREE}={env!r}")
+            return _degree(env)
+        except argparse.ArgumentTypeError as exc:
+            raise CommandError(f"bad {ENV_MAX_DEGREE}={env!r}: {exc}")
     raise CommandError("--max-degree is required (or set " + ENV_MAX_DEGREE + ")")
 
 
@@ -172,6 +185,8 @@ def _cmd_elliptic_enumerate(args) -> int:
         for f in candidates:
             print(f)
         return 0
+    if args.audit_bound is not None and args.audit_bound <= args.dim:
+        raise CommandError(f"--audit-bound must exceed --dim {args.dim}")
     coeffs = _default_coeffs(args, (-1, 0, 1))
     undecided = []
     for f in candidates:
@@ -239,6 +254,8 @@ def _cmd_check_submersion(args) -> int:
             f"--max-base-dim must lie in [2, {total.dim - 1}] for {total.name}"
         )
     coeffs = _default_coeffs(args, (0, 1))
+    if 0 not in coeffs:
+        raise CommandError("the coefficient set of check submersion must contain 0")
     report = analyze(total, args.max_base_dim, coeff_set=coeffs)
     print(json.dumps(report.to_dict(), indent=2))
     n = len(report.survivors)
@@ -264,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     model_sub = model.add_subparsers(dest="subcommand", required=True)
     mc = model_sub.add_parser("check", help="validate a model file")
     mc.add_argument("file")
-    mc.add_argument("--max-degree", type=int, default=None)
+    mc.add_argument("--max-degree", type=_degree, default=None)
     mc.add_argument("--require-minimal", action="store_true")
     mc.add_argument("--require-simply-connected", action="store_true")
     mc.set_defaults(handler=_cmd_model_check)
     mh = model_sub.add_parser("cohomology", help="Betti numbers of a model file")
     mh.add_argument("file")
-    mh.add_argument("--max-degree", type=int, default=None)
+    mh.add_argument("--max-degree", type=_degree, default=None)
     mh.add_argument("--format", choices=("text", "tree"), default="text")
     mh.set_defaults(handler=_cmd_model_cohomology)
 
@@ -308,19 +325,29 @@ def build_parser() -> argparse.ArgumentParser:
     cs.set_defaults(handler=_cmd_check_submersion)
 
     rp = sub.add_parser("reproduce", help="pinned headline reports")
-    rp.add_argument(
-        "target",
-        choices=("table1", "prop31", "prop32", "prop41", "prop42", "theorem-a", "theorem-b"),
-    )
+    spelled = {name: alias for alias, name in _TARGET_ALIASES.items()}
+    rp.add_argument("target", choices=[spelled.get(t, t) for t in REPRODUCE_TARGETS])
     rp.set_defaults(handler=_cmd_reproduce)
 
     return parser
 
 
+def _glue_coeffs(argv: list[str]) -> list[str]:
+    """Read `--coeffs -1,0,1` as `--coeffs=-1,0,1`: argparse takes a value
+    that starts with '-' for an option and leaves --coeffs without one."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--coeffs" and not arg.startswith("--"):
+            out[-1] = f"--coeffs={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_coeffs(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse prints usage itself; normalize its failure code to 2
         return 0 if exc.code in (0, None) else 2

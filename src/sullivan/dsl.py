@@ -308,21 +308,6 @@ def format_model(model: SullivanModel, name: str = "M") -> str:
         dx = model.d_of_generator(g.name)
         if dx.is_zero():
             continue
-        lines.append(f"    d {g.name} = {_element_text(dx)};")
+        lines.append(f"    d {g.name} = {dx};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _element_text(x: Element) -> str:
-    parts = []
-    for mon in sorted(x.terms, key=x.model.monomial_sort_key):
-        c = x.terms[mon]
-        word = mon.format()
-        if c == 1:
-            text = word
-        elif c == -1:
-            text = f"-{word}"
-        else:
-            text = f"{c}*{word}"
-        parts.append(text)
-    return " + ".join(parts).replace("+ -", "- ")

@@ -17,12 +17,18 @@ numbers above the formal dimension.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Element, GeneratorSpec, SullivanModel, validate_model
+from .algebra import (
+    Element,
+    GeneratorSpec,
+    SullivanModel,
+    coefficient_box,
+    search_differentials,
+    validate_model,
+)
 from .cohomology import BettiTable, betti, betti_table
 
 
@@ -272,120 +278,93 @@ def realizable(
     degree just above n contains the cokernel of the relation ideal
     there, so branches that cannot reach full rank are dead.  A complete
     model passes when its Betti numbers vanish strictly above
-    n = formal_dimension(f) up to audit_bound (default 2n+2) and the
-    degree-n cohomology is nonzero.
+    n = formal_dimension(f) up to audit_bound (default 2n+2, otherwise
+    it must exceed n) and the degree-n cohomology is nonzero.
     """
     if any(d < 2 for d in f.support):
         raise ValueError("search requires a simply connected rank vector")
     n = formal_dimension(f)
+    if audit_bound is not None and audit_bound <= n:
+        raise ValueError(f"audit bound {audit_bound} must exceed the formal dimension {n}")
     if n < 1:
         return RealizabilityVerdict("unrealizable", f, note="formal dimension < 1")
     bound = audit_bound if audit_bound is not None else 2 * n + 2
     coeffs = tuple(Fraction(c) for c in coeff_set)
+    coeff_text = sorted(set(map(str, coeffs)))
     free = SullivanModel.free(generators_for(f))
     order = sorted(free.generators, key=lambda g: g.degree)
-
-    combos_by_degree: dict[int, list] = {}
-    for g in order:
-        if g.degree in combos_by_degree:
-            continue
-        cands = [
-            m for m in free.basis_of_degree(g.degree + 1) if m.factor_count >= 2
-        ]
-        combos_by_degree[g.degree] = [cands, None]
+    cands = {
+        d: [m for m in free.basis_of_degree(d + 1) if m.factor_count >= 2]
+        for d in sorted({g.degree for g in order})
+    }
 
     kstar = n + 1 if (n + 1) % 2 == 0 else n + 2
     dim_even_top = len(_even_monomials(free, kstar))
-    evens_forced_closed = all(
-        not combos_by_degree[g.degree][0] for g in order if not g.is_odd
-    )
-
-    def tail_capacity(idx: int) -> int:
-        return sum(
-            len(_even_monomials(free, kstar - h.degree - 1))
-            for h in order[idx:]
-            if h.is_odd
-        )
-
+    evens_forced_closed = all(not cands[g.degree] for g in order if not g.is_odd)
+    # what each odd generator can add to the ideal rank in degree kstar
+    capacity = [
+        len(_even_monomials(free, kstar - g.degree - 1)) if g.is_odd else 0
+        for g in order
+    ]
+    # relations[i]: pure-even parts of the odd values at depths 1..i of
+    # the current path
+    relations: list[tuple] = [()] * (len(order) + 1)
     examined = 0
-    out_of_budget = False
 
-    def assignments_for(degree: int):
-        cands, cached = combos_by_degree[degree]
-        if cached is None:
-            cached = list(itertools.product(coeffs, repeat=len(cands)))
-            combos_by_degree[degree] = [cands, cached]
-        return cands, cached
-
-    def build(idx: int, current: SullivanModel, floor: dict[int, int], relations: tuple):
-        nonlocal examined, out_of_budget
-        if out_of_budget:
-            return None
-        if idx == len(order):
-            examined += 1
-            if max_models is not None and examined > max_models:
-                out_of_budget = True
-                return None
-            if dim_even_top and all(
-                current.d(g.name).is_zero() for g in order if not g.is_odd
-            ):
-                # cheap necessary check before the full Betti audit
-                if _even_ideal_rank(free, relations, kstar) < dim_even_top:
-                    return None
-            if _betti_profile_ok(current, n, bound):
-                return current
-            return None
-        g = order[idx]
-        cands, combos = assignments_for(g.degree)
+    def options(path):
+        i = len(path)
         # same-degree generators are interchangeable: enumerate their
-        # choices in nondecreasing combo order to skip permuted copies
-        start = floor.get(g.degree, 0)
-        for ci in range(start, len(combos)):
-            combo = combos[ci]
-            val = free.zero()
-            for c, mon in zip(combo, cands):
-                if c:
-                    val = val + c * free.monomial(mon)
-            nxt = current.with_differentials({g.name: val})
-            if not nxt.d(nxt.d(g.name)).is_zero():
-                continue
-            rel2 = relations
-            if g.is_odd and not val.is_zero():
-                rel2 = relations + (_pure_even_part(free, val),)
-            if evens_forced_closed and dim_even_top:
-                reach = _even_ideal_rank(free, rel2, kstar) + tail_capacity(idx + 1)
-                if reach < dim_even_top:
-                    continue
-            found = build(idx + 1, nxt, {**floor, g.degree: ci}, rel2)
-            if found is not None:
-                return found
-            if out_of_budget:
-                return None
-        return None
+        # choices in nondecreasing order to skip permuted copies
+        same = i > 0 and order[i - 1].degree == order[i].degree
+        return coefficient_box(free, cands[order[i].degree], coeffs, path[-1][0] if same else 0)
 
-    witness = build(0, free, {}, ())
-    if witness is not None:
-        rep = validate_model(witness)
+    def node(path, model) -> bool:
+        depth = len(path)
+        if not depth:
+            return True
+        value = path[-1][1]
+        extra = (_pure_even_part(free, value),) if order[depth - 1].is_odd and value else ()
+        relations[depth] = relations[depth - 1] + extra
+        if evens_forced_closed and dim_even_top:
+            reach = _even_ideal_rank(free, relations[depth], kstar) + sum(capacity[depth:])
+            return reach >= dim_even_top
+        return True
+
+    def leaf(path, model) -> RealizabilityVerdict | None:
+        nonlocal examined
+        examined += 1
+        if max_models is not None and examined > max_models:
+            return RealizabilityVerdict(
+                "inconclusive",
+                f,
+                examined=examined,
+                note=f"budget of {max_models} complete models exhausted",
+            )
+        evens_closed = all(not v for (_, v), g in zip(path, order) if not g.is_odd)
+        if dim_even_top and evens_closed:
+            # cheap necessary check before the full Betti audit
+            if _even_ideal_rank(free, relations[-1], kstar) < dim_even_top:
+                return None
+        if not _betti_profile_ok(model, n, bound):
+            return None
+        rep = validate_model(model)
         assert rep.ok, rep.summary()
         return RealizabilityVerdict(
             "realized",
             f,
-            model=witness,
-            betti=betti_table(witness, n),
+            model=model,
+            betti=betti_table(model, n),
             examined=examined,
-            note=f"coefficients from {sorted(set(map(str, coeffs)))}",
+            note=f"coefficients from {coeff_text}",
         )
-    if out_of_budget:
-        return RealizabilityVerdict(
-            "inconclusive",
-            f,
-            examined=examined,
-            note=f"budget of {max_models} complete models exhausted",
-        )
+
+    verdict, _ = search_differentials(free, order, options, node, leaf)
+    if verdict is not None:
+        return verdict
     return RealizabilityVerdict(
         "unrealizable",
         f,
         examined=examined,
-        note=f"no model with coefficients from {sorted(set(map(str, coeffs)))}"
+        note=f"no model with coefficients from {coeff_text}"
         f" has the elliptic profile through degree {bound}",
     )

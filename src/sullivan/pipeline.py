@@ -25,13 +25,20 @@ without re-running any search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .algebra import Element, GeneratorSpec, Monomial, SullivanModel, validate_model
+from .algebra import (
+    Element,
+    GeneratorSpec,
+    Monomial,
+    SullivanModel,
+    coefficient_box,
+    search_differentials,
+    validate_model,
+)
 from .cohomology import (
     BettiTable,
     betti,
@@ -165,30 +172,8 @@ def entry_for_rank_vector(rv: RankVector) -> SpaceCatalogEntry | None:
 
 # -- element and model serialization -----------------------------------------
 
-def format_element(x: Element | None) -> str:
-    if x is None or x.is_zero():
-        return "0"
-    parts = []
-    for mon in sorted(x.terms, key=x.model.monomial_sort_key):
-        c = x.terms[mon]
-        word = mon.format()
-        if c == 1:
-            text = word
-        elif c == -1:
-            text = f"-{word}"
-        else:
-            text = f"{c}*{word}"
-        parts.append(text)
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def element_terms_data(x: Element | None) -> list[list[str]]:
-    if x is None or x.is_zero():
-        return []
-    out = []
-    for mon in sorted(x.terms, key=x.model.monomial_sort_key):
-        out.append([mon.format(), str(x.terms[mon])])
-    return out
+def element_terms_data(x: Element) -> list[list[str]]:
+    return [[mon.format(), str(c)] for mon, c in x.sorted_terms()]
 
 
 def monomial_from_word(model: SullivanModel, word: str) -> Monomial:
@@ -212,9 +197,7 @@ def monomial_from_word(model: SullivanModel, word: str) -> Monomial:
     return Monomial(exps)
 
 
-def element_from_data(model: SullivanModel, terms: Sequence[Sequence[str]]) -> Element | None:
-    if not terms:
-        return None
+def element_from_data(model: SullivanModel, terms: Sequence[Sequence[str]]) -> Element:
     return model.element_from_terms(
         {monomial_from_word(model, word): Fraction(c) for word, c in terms}
     )
@@ -451,63 +434,15 @@ def _coeff_tuple(coeff_set: Sequence) -> tuple[Fraction, ...]:
     return tuple(sorted(cs, key=lambda c: (c != 0, c)))
 
 
-def _gen_assignments(
-    free: SullivanModel, candidates: list[Monomial], coeffs: tuple[Fraction, ...]
-) -> Iterator[Element | None]:
-    for combo in itertools.product(coeffs, repeat=len(candidates)):
-        terms = {m: c for m, c in zip(candidates, combo) if c}
-        yield free.element_from_terms(terms) if terms else None
-
-
-def build_relative_model_family(
-    base: SullivanModel,
-    fiber_ranks: RankVector,
-    coeff_set: Sequence = (0, 1),
-    degree_bound: int | None = None,
-) -> Iterator[tuple[SullivanModel, dict[str, Element | None]]]:
-    """Yield every relative model (combined model, fiber assignment).
-
-    The base differential is fixed; each fiber generator's differential
-    ranges over coefficient-set combinations of its candidate monomials.
-    Only assignments with d^2 = 0 are yielded.  Setting base generators to
-    zero in any yielded model leaves the fiber part with decomposable
-    differentials by construction.
-    """
-    skeleton, fiber_gens = _relative_skeleton(base, fiber_ranks)
-    if degree_bound is not None:
-        too_big = [g.name for g in fiber_gens if g.degree + 1 > degree_bound]
-        if too_big:
-            raise ValueError(f"degree bound {degree_bound} cut off candidates for {too_big}")
-    coeffs = _coeff_tuple(coeff_set)
-    if not fiber_gens:
-        yield skeleton, {}
-        return
-    candidates = {g.name: _candidate_monomials(skeleton, g) for g in fiber_gens}
-
-    def walk(idx: int, model: SullivanModel, chosen: dict):
-        if idx == len(fiber_gens):
-            if validate_model(model, require_minimal=False).ok:
-                yield model, dict(chosen)
-            return
-        g = fiber_gens[idx]
-        for elem in _gen_assignments(skeleton, candidates[g.name], coeffs):
-            nxt = model.with_differentials({g.name: elem})
-            chosen[g.name] = elem
-            yield from walk(idx + 1, nxt, chosen)
-            del chosen[g.name]
-
-    yield from walk(0, skeleton, {})
-
-
 @dataclass(frozen=True)
 class RelativeWitness:
     """A differential assignment matching the target cohomology."""
 
     model: SullivanModel
-    assignment: tuple[tuple[str, Element | None], ...]
+    assignment: tuple[tuple[str, Element], ...]
 
     def assignment_text(self) -> dict[str, str]:
-        return {name: format_element(e) for name, e in self.assignment}
+        return {name: str(e) for name, e in self.assignment}
 
 
 def _witness_classes(
@@ -532,7 +467,7 @@ def _witness_classes(
             continue
         lead = min(residue)
         scaled = {i: c / residue[lead] for i, c in residue.items()}
-        witnesses.append(format_element(vector_to_element(model, scaled, k)))
+        witnesses.append(str(vector_to_element(model, scaled, k)))
         if len(witnesses) >= limit:
             break
         # refold so later residues reduce against the grown span
@@ -563,70 +498,47 @@ def check_relative_cohomology(
     branches: list[dict] = []
     invalid = 0
 
-    def assignment_data(chosen: Sequence[tuple[str, Element | None]]) -> dict:
-        return {name: element_terms_data(e) for name, e in chosen}
+    def assignment_data(path) -> dict:
+        return {g.name: element_terms_data(v) for g, (_, v) in zip(fiber_gens, path)}
 
     def checkable_through(idx: int) -> int:
         if idx >= len(fiber_gens):
             return bound
         return min(bound, fiber_gens[idx].degree - 1)
 
-    witness: RelativeWitness | None = None
-    base_names = set(base.generator_names)
+    def options(path):
+        return coefficient_box(skeleton, candidates[fiber_gens[len(path)].name], coeffs)
 
-    def walk(idx: int, model: SullivanModel, checked: int, chosen: list, deferred: list):
-        nonlocal witness, invalid
-        if witness is not None:
-            return
-        # settle d^2 checks that had to wait for later generators, so the
-        # Betti numbers below always come from a genuine cochain complex
-        assigned_names = base_names | {h.name for h in fiber_gens[:idx]}
-        still_deferred = []
-        for elem, used in deferred:
-            if used <= assigned_names:
-                if not model.d(elem).is_zero():
-                    invalid += 1
-                    return
-            else:
-                still_deferred.append((elem, used))
-        high = checkable_through(idx)
-        for k in range(checked + 1, high + 1):
+    def node(path, model) -> bool:
+        # check each degree once every generator that can contribute to
+        # it is assigned
+        depth = len(path)
+        low = checkable_through(depth - 1) + 1 if depth else 0
+        for k in range(low, checkable_through(depth) + 1):
             got = betti(model, k)
             if got != target[k]:
                 branches.append(
                     {
-                        "assignment": assignment_data(chosen),
+                        "assignment": assignment_data(path),
                         "degree": k,
                         "computed": got,
                         "required": target[k],
                     }
                 )
-                return
-        if idx == len(fiber_gens):
-            if validate_model(model, require_minimal=False).ok:
-                witness = RelativeWitness(model, tuple(chosen))
-            else:
-                invalid += 1
-            return
-        g = fiber_gens[idx]
-        for elem in _gen_assignments(skeleton, candidates[g.name], coeffs):
-            nxt = model.with_differentials({g.name: elem})
-            child_deferred = still_deferred
-            if elem is not None:
-                used = {n for mon in elem.terms for n, _ in mon.exps}
-                if used <= assigned_names | {g.name}:
-                    if not nxt.d(elem).is_zero():
-                        invalid += 1
-                        continue
-                else:
-                    child_deferred = still_deferred + [(elem, used)]
-            chosen.append((g.name, elem))
-            walk(idx + 1, nxt, high, chosen, child_deferred)
-            chosen.pop()
-            if witness is not None:
-                return
+                return False
+        return True
 
-    walk(0, skeleton, -1, [], [])
+    def leaf(path, model) -> RelativeWitness | None:
+        nonlocal invalid
+        if validate_model(model, require_minimal=False).ok:
+            return RelativeWitness(
+                model, tuple((g.name, v) for g, (_, v) in zip(fiber_gens, path))
+            )
+        invalid += 1
+        return None
+
+    witness, dropped = search_differentials(skeleton, fiber_gens, options, node, leaf)
+    invalid += dropped
     if witness is not None:
         return witness
 
@@ -912,12 +824,13 @@ def _reproduce_prop42() -> dict:
         if verdict.certificate.kind != "relative-model-cohomology":
             continue
         detail = verdict.certificate.detail
+        skeleton = model_from_data(detail["skeleton"])
         for row in detail["scan"]["rows"]:
             if row["degree"] == 6 and "image" in row:
                 out["degree6_span"] = {
                     "fiber": detail["fiber"],
                     "forced": {
-                        name: _terms_text(terms)
+                        name: str(element_from_data(skeleton, terms))
                         for name, terms in detail["scan"]["assignment"].items()
                     },
                     "rank": row["image_rank"],
@@ -925,21 +838,6 @@ def _reproduce_prop42() -> dict:
                     "witnesses": row.get("witnesses", []),
                 }
     return out
-
-
-def _terms_text(terms: Sequence) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for word, c in terms:
-        coeff = Fraction(c)
-        if coeff == 1:
-            parts.append(word)
-        elif coeff == -1:
-            parts.append(f"-{word}")
-        else:
-            parts.append(f"{coeff}*{word}")
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 def _theorem_summary(name: str, report: ObstructionReport) -> dict:

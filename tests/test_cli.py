@@ -104,6 +104,22 @@ class TestModelCohomology:
         assert code == 2
         assert "--max-degree" in err
 
+    @pytest.mark.parametrize("command,env", [
+        (("cohomology", "--max-degree", "-3"), None),
+        (("check", "--max-degree", "-3"), None),
+        (("cohomology",), "-2"),
+    ])
+    def test_negative_max_degree_exits_2(self, capsys, cp2_file, monkeypatch, command, env):
+        if env is None:
+            monkeypatch.delenv("SULLIVAN_MAX_DEGREE", raising=False)
+        else:
+            monkeypatch.setenv("SULLIVAN_MAX_DEGREE", env)
+        sub, *flags = command
+        code, out, err = run(capsys, "model", sub, cp2_file, *flags)
+        assert code == 2
+        assert out == ""
+        assert "negative" in err
+
     def test_invalid_differential_exits_1(self, capsys, tmp_path):
         # parses cleanly but d*d != 0
         path = tmp_path / "dd.model"
@@ -140,6 +156,23 @@ class TestEllipticEnumerate:
                            "--coeffs", "0,1")
         assert code == 0
         assert out.splitlines() == ["{3:1}"]
+
+    def test_coeffs_with_negative_first_value(self, capsys):
+        code, spaced, _ = run(capsys, "elliptic", "enumerate", "--dim", "4",
+                              "--coeffs", "-1,0,1")
+        assert code == 0
+        code, joined, _ = run(capsys, "elliptic", "enumerate", "--dim", "4",
+                              "--coeffs=-1,0,1")
+        assert code == 0
+        assert spaced == joined == "{4:1, 7:1}\n{2:1, 5:1}\n{2:2, 3:2}\n"
+
+    @pytest.mark.parametrize("bound", ["1", "5"])
+    def test_audit_bound_not_above_dim_exits_2(self, capsys, bound):
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "5",
+                             "--audit-bound", bound)
+        assert code == 2
+        assert out == ""
+        assert "--audit-bound" in err
 
     def test_bad_coeffs_exits_2(self, capsys):
         code, _, err = run(capsys, "elliptic", "enumerate", "--dim", "3",
@@ -237,6 +270,13 @@ class TestCheckSubmersion:
                            "--total", "eschenburg", "--max-base-dim", "13")
         assert code == 2
         assert "max-base-dim" in err
+
+    def test_coeffs_without_zero_exits_2(self, capsys):
+        code, out, err = run(capsys, "check", "submersion", "--total", "eschenburg",
+                             "--max-base-dim", "3", "--coeffs", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "must contain 0" in err
 
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "submersion",

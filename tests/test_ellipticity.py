@@ -221,3 +221,50 @@ class TestRealizability:
         v = realizable(RankVector.parse("7:1"))
         assert v.status == "realized"
         assert v.model.diff == ()
+
+    def test_audit_bound_must_exceed_formal_dimension(self):
+        f = RankVector.parse("3:1,4:1,5:1")
+        for bound in (1, formal_dimension(f)):
+            with pytest.raises(ValueError):
+                realizable(f, audit_bound=bound)
+
+    def test_search_order_pinned(self):
+        """Verdict and number of complete models examined for every
+        candidate in dims 2..7: a change to the search order or its
+        prunes shows up here even when the survivors stay the same."""
+        got = {
+            f.to_string(): (v.status, v.examined)
+            for n in range(2, 8)
+            for f in enumerate_candidates(n)
+            for v in [realizable(f)]
+        }
+        r, u = "realized", "unrealizable"
+        assert got == {
+            "2:1,3:1": (r, 1),
+            "3:1": (r, 1),
+            "4:1,7:1": (r, 1),
+            "2:1,5:1": (r, 1),
+            "2:2,3:2": (r, 1),
+            "5:1": (r, 1),
+            "3:1,4:1,5:1": (u, 1),
+            "2:1,3:2": (r, 1),
+            "6:1,11:1": (r, 1),
+            "4:1,9:1": (u, 0),
+            "3:2": (r, 1),
+            "3:2,5:1,6:1": (u, 3),
+            "3:3,4:1": (u, 0),
+            "2:1,7:1": (r, 1),
+            "2:1,4:1,5:2": (u, 0),
+            "2:1,3:1,4:1,7:1": (r, 1),
+            "2:2,3:1,5:1": (r, 1),
+            "2:3,3:3": (r, 1),
+            "7:1": (r, 1),
+            "5:1,6:1,7:1": (u, 1),
+            "4:1,5:2": (u, 0),
+            "3:1,6:1,9:1": (u, 1),
+            "3:1,4:1,7:1": (r, 1),
+            "3:4,6:1": (u, 1),
+            "2:1,3:1,5:1": (r, 1),
+            "2:1,3:2,4:1,5:1": (u, 234),
+            "2:2,3:3": (r, 1),
+        }
