@@ -13,11 +13,16 @@ word of generators into canonical form picks up the Koszul sign
 (-1)^k where k is the number of transposed odd-odd pairs; any odd
 generator appearing twice kills the monomial.
 
-Everything is exact: coefficients are fractions.Fraction throughout.
+Everything is exact: elements carry fractions.Fraction coefficients.
 Models are immutable and hashable so degree-wise data (bases, boundary
-matrices) can be memoized per model.  `search_differentials` is the one
-backtracking search over differentials; the realizability and the
-relative-model searches plug their prunes into it.
+matrices) can be memoized per model.  On first use a model compiles
+itself into integer-indexed tables: exponent vectors with bitmasks of
+their odd positions, and each generator's differential in that form,
+with integral coefficients kept as int.  Products and the Leibniz
+expansion of d run on those tables; a Fraction is made only when an
+Element is returned.  `search_differentials` is the one backtracking
+search over differentials; the realizability and the relative-model
+searches plug their prunes into it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 Scalar = Fraction | int
@@ -76,12 +82,6 @@ class Monomial:
     def factor_count(self) -> int:
         # word length, counting exponents; decomposability means >= 2
         return sum(e for _, e in self.exps)
-
-    def word(self) -> tuple[str, ...]:
-        out = []
-        for name, e in self.exps:
-            out.extend([name] * e)
-        return tuple(out)
 
     def format(self) -> str:
         if not self.exps:
@@ -172,20 +172,17 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same_model(other)
-        model = self.model
-        out: dict[Monomial, Fraction] = {}
+        tables = self.model._tables
+        right = [(tables.encode(mb), cb) for mb, cb in other.terms.items()]
+        out: dict[tuple[int, ...], Fraction] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mon, sign = model.multiply_monomials(ma, mb)
-                if mon is None:
+            avec, amask = tables.encode(ma)
+            for (bvec, bmask), cb in right:
+                if amask & bmask:
                     continue
-                c = ca * cb * sign
-                prev = out.get(mon, Fraction(0)) + c
-                if prev:
-                    out[mon] = prev
-                elif mon in out:
-                    del out[mon]
-        return Element(model, out)
+                vec, sign = _merge(avec, amask, bvec, bmask)
+                out[vec] = out.get(vec, 0) + ca * cb * sign
+        return tables.element(self.model, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -289,13 +286,19 @@ class SullivanModel:
 
     # -- lookups ---------------------------------------------------------
 
+    @cached_property
+    def _tables(self) -> "_Tables":
+        # compiled on first use; an instance attribute, so it dies with the
+        # model and stays out of the dataclass's == and hash
+        return _Tables(self)
+
     @property
     def generator_index(self) -> Mapping[str, int]:
-        return _generator_index(self.generators)
+        return self._tables.index
 
     @property
     def generator_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
+        return self._tables.names
 
     def generator(self, name: str) -> GeneratorSpec:
         return self.generators[self.generator_index[name]]
@@ -307,14 +310,11 @@ class SullivanModel:
         return self.generator(name).is_odd
 
     def monomial_degree(self, mon: Monomial) -> int:
-        return sum(self.degree_of(name) * e for name, e in mon.exps)
+        tables = self._tables
+        return sum(tables.degrees[tables.index[name]] * e for name, e in mon.exps)
 
     def monomial_sort_key(self, mon: Monomial) -> tuple[int, ...]:
-        vec = [0] * len(self.generators)
-        idx = self.generator_index
-        for name, e in mon.exps:
-            vec[idx[name]] = e
-        return tuple(vec)
+        return tuple(self._tables.encode(mon)[0])
 
     @property
     def is_simply_connected(self) -> bool:
@@ -379,30 +379,22 @@ class SullivanModel:
         (None, 0) when an odd generator would be squared.  Sign counts the
         odd-odd pairs (x in a, y in b) with x declared after y.
         """
-        idx = self.generator_index
-        merged: dict[int, int] = {}
-        for name, e in a.exps:
-            merged[idx[name]] = merged.get(idx[name], 0) + e
-        for name, e in b.exps:
-            p = idx[name]
-            merged[p] = merged.get(p, 0) + e
-            if self.generators[p].is_odd and merged[p] > 1:
-                return None, 0
-        a_odd = [idx[name] for name, e in a.exps if self.generators[idx[name]].is_odd]
-        b_odd = [idx[name] for name, e in b.exps if self.generators[idx[name]].is_odd]
-        inversions = sum(1 for x in a_odd for y in b_odd if x > y)
-        exps = tuple((self.generators[p].name, merged[p]) for p in sorted(merged))
-        return Monomial(exps), (-1) ** inversions
+        tables = self._tables
+        avec, amask = tables.encode(a)
+        bvec, bmask = tables.encode(b)
+        if amask & bmask:
+            return None, 0
+        vec, sign = _merge(avec, amask, bvec, bmask)
+        return tables.decode(vec), sign
 
     # -- differential ----------------------------------------------------
 
     def d_of_generator(self, name: str) -> Element:
-        for n, terms in self.diff:
-            if n == name:
-                return Element(self, dict(terms))
-        if name not in self.generator_index:
+        tables = self._tables
+        p = tables.index.get(name)
+        if p is None:
             raise ValueError(f"unknown generator {name!r}")
-        return self.zero()
+        return tables.element(self, {vec: c for vec, _, c in tables.dgen[p]})
 
     def d(self, x: "Element | str") -> Element:
         """Differential, extended from generators by the graded Leibniz rule."""
@@ -410,27 +402,39 @@ class SullivanModel:
             return self.d_of_generator(x)
         if x.model.generators != self.generators:
             raise ValueError("element lives over a different generator list")
-        out = self.zero()
+        out: dict[tuple[int, ...], Scalar] = {}
         for mon, c in x.terms.items():
-            out = out + c * self._d_monomial(mon)
-        return out
+            if c.denominator == 1:
+                c = c.numerator
+            for vec, v in self._d_monomial(mon):
+                out[vec] = out.get(vec, 0) + c * v
+        return self._tables.element(self, out)
 
-    def _d_monomial(self, mon: Monomial) -> Element:
-        word = mon.word()
-        out = self.zero()
-        prefix = self.unit()
+    def _d_monomial(self, mon: Monomial) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+        """The terms (exponent vector, coefficient) of d(mon), unsummed.
+
+        With mon = g_1^e_1 ... g_r^e_r and D the degree of the factors
+        before g_i, the g_i term is e_i * (-1)^D * g_1^e_1 .. d(g_i) ..
+        g_r^e_r; moving d(g_i) to the front turns it into (-1)^D times
+        d(g_i) * (mon / g_i) for odd g_i, and that product alone for even
+        g_i, whose power commutes past d(g_i) without sign.
+        """
+        tables = self._tables
+        vec, mask = tables.encode(mon)
         prefix_degree = 0
-        for j, name in enumerate(word):
-            dw = self.d_of_generator(name)
-            if dw:
-                rest = self.unit()
-                for other in word[j + 1:]:
-                    rest = rest * self.gen(other)
-                sign = -1 if prefix_degree % 2 else 1
-                out = out + sign * (prefix * dw * rest)
-            prefix = prefix * self.gen(name)
-            prefix_degree += self.degree_of(name)
-        return out
+        for name, e in mon.exps:
+            p = tables.index[name]
+            if tables.dgen[p]:
+                vec[p] -= 1
+                rest = mask & ~(1 << p)
+                scale = -e if tables.odd[p] and prefix_degree % 2 else e
+                for tvec, tmask, c in tables.dgen[p]:
+                    if tmask & rest:
+                        continue
+                    product, sign = _merge(tvec, tmask, vec, rest)
+                    yield product, scale * sign * c
+                vec[p] += 1
+            prefix_degree += e * tables.degrees[p]
 
     # -- bases -----------------------------------------------------------
 
@@ -446,8 +450,67 @@ class SullivanModel:
 
 
 @lru_cache(maxsize=None)
-def _generator_index(generators: tuple[GeneratorSpec, ...]) -> Mapping[str, int]:
-    return {g.name: i for i, g in enumerate(generators)}
+def _generator_frame(generators: tuple[GeneratorSpec, ...]):
+    """Index, names, degrees and odd flags of a generator list, shared by
+    every model over it."""
+    return (
+        {g.name: i for i, g in enumerate(generators)},
+        tuple(g.name for g in generators),
+        tuple(g.degree for g in generators),
+        tuple(g.is_odd for g in generators),
+    )
+
+
+def _merge(avec, amask: int, bvec, bmask: int) -> tuple[tuple[int, ...], int]:
+    """Product of exponent vectors a and b, with no odd position in both
+    bitmasks: (exponent vector, Koszul sign).  The sign counts the odd
+    pairs (x in a, y in b) with x declared after y."""
+    inversions = 0
+    while amask:
+        low = amask & -amask
+        inversions += (bmask & (low - 1)).bit_count()
+        amask ^= low
+    return tuple(map(add, avec, bvec)), -1 if inversions & 1 else 1
+
+
+class _Tables:
+    """A model compiled to integer indices.
+
+    Monomials become exponent vectors over the generator list plus a
+    bitmask of their odd positions; dgen[p] lists d of generator p as
+    (exponent vector, odd bitmask, coefficient) with integral
+    coefficients as int.
+    """
+
+    __slots__ = ("index", "names", "degrees", "odd", "dgen")
+
+    def __init__(self, model: "SullivanModel"):
+        self.index, self.names, self.degrees, self.odd = _generator_frame(model.generators)
+        dgen: list[tuple] = [()] * len(self.names)
+        for name, terms in model.diff:
+            rows = []
+            for mon, c in terms:
+                vec, mask = self.encode(mon)
+                rows.append((tuple(vec), mask, c.numerator if c.denominator == 1 else c))
+            dgen[self.index[name]] = tuple(rows)
+        self.dgen = tuple(dgen)
+
+    def encode(self, mon: Monomial) -> tuple[list[int], int]:
+        vec = [0] * len(self.names)
+        mask = 0
+        for name, e in mon.exps:
+            p = self.index[name]
+            vec[p] = e
+            if self.odd[p]:
+                mask |= 1 << p
+        return vec, mask
+
+    def decode(self, vec) -> Monomial:
+        names = self.names
+        return Monomial(tuple([(names[p], e) for p, e in enumerate(vec) if e]))
+
+    def element(self, model: "SullivanModel", terms: Mapping[tuple[int, ...], Scalar]) -> Element:
+        return Element(model, {self.decode(vec): c for vec, c in terms.items() if c})
 
 
 @lru_cache(maxsize=None)

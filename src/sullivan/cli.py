@@ -83,16 +83,17 @@ def _degree(text: str) -> int:
     return value
 
 
-def _default_max_degree(args) -> int:
+def _max_degree(args) -> int | None:
+    """--max-degree, else SULLIVAN_MAX_DEGREE, else None."""
     if args.max_degree is not None:
         return args.max_degree
     env = os.environ.get(ENV_MAX_DEGREE)
-    if env:
-        try:
-            return _degree(env)
-        except argparse.ArgumentTypeError as exc:
-            raise CommandError(f"bad {ENV_MAX_DEGREE}={env!r}: {exc}")
-    raise CommandError("--max-degree is required (or set " + ENV_MAX_DEGREE + ")")
+    if not env:
+        return None
+    try:
+        return _degree(env)
+    except argparse.ArgumentTypeError as exc:
+        raise CommandError(f"bad {ENV_MAX_DEGREE}={env!r}: {exc}")
 
 
 def _read_model(path: str):
@@ -143,6 +144,7 @@ def _total_entry(spec: str) -> SpaceCatalogEntry:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_model_check(args) -> int:
+    top = _max_degree(args)
     doc = _read_model(args.file)
     report = validate_model(doc.model, require_minimal=args.require_minimal)
     for note in doc.notes:
@@ -158,8 +160,8 @@ def _cmd_model_check(args) -> int:
         return 1
     gens = len(doc.model.generators)
     print(f"{doc.name}: ok ({gens} generators)")
-    if args.max_degree is not None:
-        table = betti_table(doc.model, args.max_degree)
+    if top is not None:
+        table = betti_table(doc.model, top)
         print("betti: " + " ".join(str(b) for b in table.values))
     return 0
 
@@ -170,7 +172,9 @@ def _cmd_model_cohomology(args) -> int:
     if not report.ok:
         print(f"error: {doc.name}: {report.summary()}", file=sys.stderr)
         return 1
-    top = _default_max_degree(args)
+    top = _max_degree(args)
+    if top is None:
+        raise CommandError("--max-degree is required (or set " + ENV_MAX_DEGREE + ")")
     table = betti_table(doc.model, top)
     if args.format == "tree":
         print(json.dumps({"name": doc.name, "max_degree": top, "betti": list(table.values)}, indent=2))

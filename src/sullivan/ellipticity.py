@@ -289,8 +289,8 @@ def realizable(
     if n < 1:
         return RealizabilityVerdict("unrealizable", f, note="formal dimension < 1")
     bound = audit_bound if audit_bound is not None else 2 * n + 2
-    coeffs = tuple(Fraction(c) for c in coeff_set)
-    coeff_text = sorted(set(map(str, coeffs)))
+    coeffs = tuple(dict.fromkeys(Fraction(c) for c in coeff_set))
+    coeff_text = sorted(map(str, coeffs))
     free = SullivanModel.free(generators_for(f))
     order = sorted(free.generators, key=lambda g: g.degree)
     cands = {

@@ -42,6 +42,7 @@ class RationalMatrix:
         self.rows = [dict(r) for r in rows]
         self.ncols = ncols
         self._rref: tuple[list[SparseVec], list[int]] | None = None
+        self._left_nullspace: list[SparseVec] | None = None
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -114,7 +115,10 @@ class RationalMatrix:
         return basis
 
     def left_nullspace_basis(self) -> list[SparseVec]:
-        return self.transpose().nullspace_basis()
+        """Basis of {w : w (self) = 0}, computed once per matrix."""
+        if self._left_nullspace is None:
+            self._left_nullspace = self.transpose().nullspace_basis()
+        return self._left_nullspace
 
 
 def rref(rows: list[SparseVec], stop_col: int | None = None) -> tuple[list[SparseVec], list[int]]:

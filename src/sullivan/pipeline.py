@@ -425,7 +425,7 @@ def _candidate_monomials(free: SullivanModel, gen: GeneratorSpec) -> list[Monomi
 
 
 def _coeff_tuple(coeff_set: Sequence) -> tuple[Fraction, ...]:
-    cs = tuple(Fraction(c) for c in coeff_set)
+    cs = tuple(dict.fromkeys(Fraction(c) for c in coeff_set))
     if not cs:
         raise ValueError("coefficient set must be nonempty")
     if Fraction(0) not in cs:

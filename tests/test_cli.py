@@ -44,6 +44,32 @@ class TestModelCheck:
         assert code == 0
         assert "betti: 1 0 1 0 1" in out
 
+    def test_env_supplies_max_degree(self, capsys, cp2_file, monkeypatch):
+        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", "4")
+        code, out, _ = run(capsys, "model", "check", cp2_file)
+        assert code == 0
+        assert out == "CP2: ok (2 generators)\nbetti: 1 0 1 0 1\n"
+
+    def test_flag_overrides_env(self, capsys, cp2_file, monkeypatch):
+        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", "4")
+        code, out, _ = run(capsys, "model", "check", cp2_file, "--max-degree", "2")
+        assert code == 0
+        assert out.endswith("betti: 1 0 1\n")
+
+    def test_no_max_degree_no_betti_line(self, capsys, cp2_file, monkeypatch):
+        monkeypatch.delenv("SULLIVAN_MAX_DEGREE", raising=False)
+        code, out, _ = run(capsys, "model", "check", cp2_file)
+        assert code == 0
+        assert out == "CP2: ok (2 generators)\n"
+
+    @pytest.mark.parametrize("env", ["four", "-1"])
+    def test_bad_env_max_degree_exits_2(self, capsys, cp2_file, monkeypatch, env):
+        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", env)
+        code, out, err = run(capsys, "model", "check", cp2_file)
+        assert code == 2
+        assert out == ""
+        assert "SULLIVAN_MAX_DEGREE" in err
+
     def test_minimality_failure_exits_1(self, capsys, tmp_path):
         path = tmp_path / "nm.model"
         path.write_text(

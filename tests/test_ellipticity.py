@@ -208,6 +208,12 @@ class TestRealizability:
         assert v.status == "inconclusive"
         assert "budget" in v.note
 
+    def test_repeated_coefficients_dropped(self):
+        f = RankVector.parse("3:2,5:1,6:1")
+        plain = realizable(f, coeff_set=(-1, 0, 1))
+        repeated = realizable(f, coeff_set=(-1, 0, 1, 1, 0))
+        assert (repeated.status, repeated.examined) == (plain.status, plain.examined) == ("unrealizable", 3)
+
     def test_rejects_degree_one(self):
         with pytest.raises(ValueError):
             realizable(RankVector.parse("1:1,2:1"))

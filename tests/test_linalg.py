@@ -172,6 +172,12 @@ class TestNullspace:
             col = {i: r[j] for i, r in enumerate(rows) if j in r}
             assert vec_dot(phi, col) == 0
 
+    def test_left_nullspace_computed_once(self):
+        m = RationalMatrix.from_dense([[1, 2], [2, 4], [0, 1]])
+        basis = m.left_nullspace_basis()
+        assert basis == m.transpose().nullspace_basis()
+        assert m.left_nullspace_basis() is basis
+
     def test_full_rank_kernel_trivial(self):
         m = RationalMatrix.from_dense([[1, 0], [0, 1], [5, 7]])
         assert m.nullspace_basis() == []

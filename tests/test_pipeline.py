@@ -26,6 +26,7 @@ from sullivan.pipeline import (
     RelativeWitness,
     analyze,
     _candidate_monomials,
+    _coeff_tuple,
     _relative_skeleton,
     audit_table,
     catalog,
@@ -225,6 +226,14 @@ class TestRelativeModelFamily:
         base = find_entry("S3").model
         with pytest.raises(ValueError):
             check_relative_cohomology(base, rv("2:1"), find_entry("S2xS3").betti, coeff_set=(1,))
+
+    def test_repeated_coefficients_dropped(self):
+        assert _coeff_tuple((1, 0, 1, Fraction(1), 0)) == (Fraction(0), Fraction(1))
+        total = find_entry(ESCH)
+        args = (find_entry("S3").model, rv("2:1,5:1"), total.betti)
+        plain = check_relative_cohomology(*args, coeff_set=(0, 1), bound=9)
+        repeated = check_relative_cohomology(*args, coeff_set=(0, 1, 1, 0), bound=9)
+        assert repeated.to_dict() == plain.to_dict()
 
 
 ESCH = "eschenburg"

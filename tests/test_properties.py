@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from sullivan.algebra import SullivanModel, validate_model
+from sullivan.cohomology import betti, coboundary_matrix
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
 
 CASES = 1000
@@ -132,6 +133,114 @@ class TestDifferentialSquaresToZero:
             assert model.d(model.d(x)).is_zero()
             checked += 1
         assert checked == CASES
+
+
+FRACTIONS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-1, 6), 2, -1, 3)
+
+
+def word_of(mon):
+    return [name for name, e in mon.exps for _ in range(e)]
+
+
+def reference_d(model, mon):
+    """d(mon) by the Leibniz rule on words: for each letter g of the word
+    w, splice each term of d(g) in at g's place with sign (-1)^|w before
+    g|, and bring the word to canonical form with normalize_word.  Reads
+    d(g) from the model's stored data; no Element product is involved.
+    Returns the nonzero terms and how many spliced words died on a
+    repeated odd generator."""
+    diff = dict(model.diff)
+    word = word_of(mon)
+    out = {}
+    died = 0
+    before = 0
+    for j, name in enumerate(word):
+        for tmon, c in diff.get(name, ()):
+            canon, sign = model.normalize_word(word[:j] + word_of(tmon) + word[j + 1:])
+            if canon is None:
+                died += 1
+                continue
+            out[canon] = out.get(canon, 0) + (-1) ** before * sign * c
+        before += model.degree_of(name)
+    return {m: c for m, c in out.items() if c}, died
+
+
+def random_fraction_differential(rng, model):
+    """Degree-correct d on most generators, with non-integral coefficients
+    and no d*d = 0 requirement (the Leibniz extension needs none)."""
+    assignments = {}
+    for g in model.generators:
+        basis = model.basis_of_degree(g.degree + 1)
+        if not basis or rng.random() < 0.2:
+            continue
+        picks = rng.sample(list(basis), min(len(basis), rng.randint(1, 3)))
+        assignments[g.name] = model.element_from_terms(
+            {mon: Fraction(rng.choice(FRACTIONS)) for mon in picks}
+        )
+    return model.with_differentials(assignments)
+
+
+class TestCompiledDifferential:
+    def test_against_word_leibniz(self):
+        rng = random.Random(404)
+        checked = 0
+        seen = {"fraction": 0, "even_power": 0, "died": 0}
+        while checked < CASES:
+            model = random_fraction_differential(rng, random_free_model(rng, max_gens=5, max_degree=6))
+            degrees = nonempty_degrees(model, 12)
+            if not model.diff or not degrees:
+                continue
+            diff = dict(model.diff)
+            basis = model.basis_of_degree(rng.choice(degrees))
+            x = {
+                mon: Fraction(rng.choice(FRACTIONS))
+                for mon in rng.sample(list(basis), min(len(basis), rng.randint(1, 3)))
+            }
+            want_x = {}
+            for mon, c in x.items():
+                want, died = reference_d(model, mon)
+                assert model.d(model.monomial(mon)).terms == want
+                for m, v in want.items():
+                    want_x[m] = want_x.get(m, 0) + c * v
+                seen["died"] += died > 0
+                seen["even_power"] += any(e >= 2 and n in diff for n, e in mon.exps)
+                seen["fraction"] += any(
+                    v.denominator > 1 for n, _ in mon.exps for _, v in diff.get(n, ())
+                )
+            want_x = {m: v for m, v in want_x.items() if v}
+            assert model.d(model.element_from_terms(x)).terms == want_x
+            checked += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_products_against_words(self):
+        rng = random.Random(505)
+        for _ in range(CASES):
+            model = random_free_model(rng)
+            degrees = nonempty_degrees(model, 9)
+            if not degrees:
+                continue
+            a = rng.choice(model.basis_of_degree(rng.choice(degrees)))
+            b = rng.choice(model.basis_of_degree(rng.choice(degrees)))
+            assert model.multiply_monomials(a, b) == model.normalize_word(word_of(a) + word_of(b))
+
+    def test_tables_leave_equality_hash_and_caches_alone(self):
+        def build():
+            free = SullivanModel.free([("kq2", 2), ("kq3", 3), ("kq5", 5)])
+            return free.with_differentials({"kq5": free.gen("kq2") ** 3})
+
+        first, second = build(), build()
+        digest = hash(first)
+        assert first == second and hash(second) == digest
+        assert "_tables" not in vars(first)  # compiled on first use only
+        assert first.d(first.gen("kq3") * first.gen("kq5")) == -first.gen("kq2") ** 3 * first.gen("kq3")
+        assert "_tables" in vars(first) and "_tables" not in vars(second)
+        assert first == second and second == first and hash(first) == digest
+        for cached in (coboundary_matrix, betti):
+            before = cached.cache_info()
+            value = cached(first, 5)
+            assert cached(second, 5) is value
+            after = cached.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
 def series_product(degrees, top):
