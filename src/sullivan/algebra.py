@@ -443,7 +443,7 @@ class SullivanModel:
         exponent-vector lexicographic order."""
         if k < 0:
             return ()
-        return _basis_of_degree(self.generators, k)
+        return self._tables.basis(k)
 
     def dimension_of_degree(self, k: int) -> int:
         return len(self.basis_of_degree(k))
@@ -451,13 +451,14 @@ class SullivanModel:
 
 @lru_cache(maxsize=None)
 def _generator_frame(generators: tuple[GeneratorSpec, ...]):
-    """Index, names, degrees and odd flags of a generator list, shared by
-    every model over it."""
+    """Index, names, degrees and odd flags of a generator list, and its
+    store of monomial bases by degree, shared by every model over it."""
     return (
         {g.name: i for i, g in enumerate(generators)},
         tuple(g.name for g in generators),
         tuple(g.degree for g in generators),
         tuple(g.is_odd for g in generators),
+        {},
     )
 
 
@@ -479,13 +480,15 @@ class _Tables:
     Monomials become exponent vectors over the generator list plus a
     bitmask of their odd positions; dgen[p] lists d of generator p as
     (exponent vector, odd bitmask, coefficient) with integral
-    coefficients as int.
+    coefficients as int.  bases is the generator list's store of monomial
+    bases by degree.
     """
 
-    __slots__ = ("index", "names", "degrees", "odd", "dgen")
+    __slots__ = ("index", "names", "degrees", "odd", "bases", "dgen")
 
     def __init__(self, model: "SullivanModel"):
-        self.index, self.names, self.degrees, self.odd = _generator_frame(model.generators)
+        frame = _generator_frame(model.generators)
+        self.index, self.names, self.degrees, self.odd, self.bases = frame
         dgen: list[tuple] = [()] * len(self.names)
         for name, terms in model.diff:
             rows = []
@@ -512,29 +515,33 @@ class _Tables:
     def element(self, model: "SullivanModel", terms: Mapping[tuple[int, ...], Scalar]) -> Element:
         return Element(model, {self.decode(vec): c for vec, c in terms.items() if c})
 
+    def basis(self, k: int) -> tuple[Monomial, ...]:
+        """Canonical monomials of degree k >= 0, enumerated once per
+        generator list."""
+        found = self.bases.get(k)
+        if found is not None:
+            return found
+        names, degrees, odd = self.names, self.degrees, self.odd
+        out: list[Monomial] = []
 
-@lru_cache(maxsize=None)
-def _basis_of_degree(generators: tuple[GeneratorSpec, ...], k: int) -> tuple[Monomial, ...]:
-    out: list[Monomial] = []
+        def rec(i: int, rem: int, acc: list[tuple[str, int]]):
+            if i == len(names):
+                if rem == 0:
+                    out.append(Monomial(tuple(acc)))
+                return
+            max_e = 1 if odd[i] else rem // degrees[i]
+            for e in range(0, max_e + 1):
+                if e * degrees[i] > rem:
+                    break
+                if e:
+                    acc.append((names[i], e))
+                rec(i + 1, rem - e * degrees[i], acc)
+                if e:
+                    acc.pop()
 
-    def rec(i: int, rem: int, acc: list[tuple[str, int]]):
-        if i == len(generators):
-            if rem == 0:
-                out.append(Monomial(tuple(acc)))
-            return
-        g = generators[i]
-        max_e = 1 if g.is_odd else rem // g.degree
-        for e in range(0, max_e + 1):
-            if e * g.degree > rem:
-                break
-            if e:
-                acc.append((g.name, e))
-            rec(i + 1, rem - e * g.degree, acc)
-            if e:
-                acc.pop()
-
-    rec(0, k, [])
-    return tuple(out)
+        rec(0, k, [])
+        found = self.bases[k] = tuple(out)
+        return found
 
 
 # -- validation ----------------------------------------------------------

@@ -19,8 +19,14 @@ from .linalg import RationalMatrix, SparseVec, vec_dot
 
 def element_to_vector(x: Element, k: int) -> SparseVec:
     """Coordinates of a degree-k element in the canonical monomial basis."""
-    basis = x.model.basis_of_degree(k)
-    index = {mon: i for i, mon in enumerate(basis)}
+    return _coordinates(x, _basis_index(x.model, k), k)
+
+
+def _basis_index(model: SullivanModel, k: int) -> dict[Monomial, int]:
+    return {mon: i for i, mon in enumerate(model.basis_of_degree(k))}
+
+
+def _coordinates(x: Element, index: dict[Monomial, int], k: int) -> SparseVec:
     out: SparseVec = {}
     for mon, c in x.terms.items():
         if mon not in index:
@@ -37,12 +43,12 @@ def vector_to_element(model: SullivanModel, vec: SparseVec, k: int) -> Element:
 @lru_cache(maxsize=None)
 def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
     """Matrix of d from degree k to degree k+1, columns over the k-basis."""
-    source = model.basis_of_degree(k)
-    cols = []
-    for mon in source:
-        dm = model.d(model.monomial(mon))
-        cols.append(element_to_vector(dm, k + 1) if dm else {})
-    return RationalMatrix.from_columns(cols, model.dimension_of_degree(k + 1))
+    index = _basis_index(model, k + 1)
+    cols = [
+        _coordinates(model.d(model.monomial(mon)), index, k + 1)
+        for mon in model.basis_of_degree(k)
+    ]
+    return RationalMatrix.from_columns(cols, len(index))
 
 
 @lru_cache(maxsize=None)

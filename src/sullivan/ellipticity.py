@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
-    Element,
     GeneratorSpec,
     SullivanModel,
     coefficient_box,
@@ -30,6 +31,7 @@ from .algebra import (
     validate_model,
 )
 from .cohomology import BettiTable, betti, betti_table
+from .linalg import extend_echelon
 
 
 @dataclass(frozen=True)
@@ -222,44 +224,34 @@ def _betti_profile_ok(model: SullivanModel, n: int, audit_bound: int) -> bool:
     return betti(model, n) > 0
 
 
-def _pure_even_part(free: SullivanModel, elem) -> "Element":
-    even = {g.name for g in free.generators if not g.is_odd}
-    terms = {
-        m: c
-        for m, c in elem.terms.items()
-        if all(name in even for name, _ in m.exps)
-    }
-    return free.element_from_terms(terms)
+def _even_exponents(free: SullivanModel, k: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the degree-k monomials in the even generators
+    alone, in basis order."""
+    tables = free._tables
+    out = []
+    for m in free.basis_of_degree(k):
+        vec, odd_mask = tables.encode(m)
+        if not odd_mask:
+            out.append(tuple(vec))
+    return out
 
 
-def _even_monomials(free: SullivanModel, k: int):
-    if k < 0:
-        return []
-    even = {g.name for g in free.generators if not g.is_odd}
-    return [
-        m
-        for m in free.basis_of_degree(k)
-        if all(name in even for name, _ in m.exps)
-    ]
-
-
-def _even_ideal_rank(free: SullivanModel, qs, kstar: int) -> int:
-    """Rank, in the polynomial part of degree kstar, of the ideal slice
-    generated by the pure-even relation candidates qs."""
-    from .linalg import RationalMatrix
-
-    basis = _even_monomials(free, kstar)
-    index = {m: i for i, m in enumerate(basis)}
-    cols = []
-    for q in qs:
-        if q.is_zero():
-            continue
-        for m in _even_monomials(free, kstar - q.degree()):
-            prod = free.monomial(m) * q
-            cols.append({index[mon]: c for mon, c in prod.terms.items()})
-    if not cols:
-        return 0
-    return RationalMatrix.from_columns(cols, len(basis)).rank()
+def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict[int, int]]:
+    """The multiples m*q of the pure-even part q of value, one integer
+    column over top (exponent vector -> row) per exponent vector m in
+    shifts, with q scaled by the lcm of its denominators."""
+    tables = free._tables
+    q = []
+    for mon, c in value.terms.items():
+        vec, odd_mask = tables.encode(mon)
+        if not odd_mask:
+            q.append((vec, c))
+    if not q:
+        return
+    den = lcm(*(c.denominator for _, c in q))
+    q = [(vec, c.numerator * (den // c.denominator)) for vec, c in q]
+    for shift in shifts:
+        yield {top[tuple(map(add, shift, vec))]: c for vec, c in q}
 
 
 def realizable(
@@ -276,10 +268,15 @@ def realizable(
     and so does a rank bound on the ideal the polynomial part must
     swallow: with the even generators closed, cohomology in an even
     degree just above n contains the cokernel of the relation ideal
-    there, so branches that cannot reach full rank are dead.  A complete
-    model passes when its Betti numbers vanish strictly above
-    n = formal_dimension(f) up to audit_bound (default 2n+2, otherwise
-    it must exceed n) and the degree-n cohomology is nonzero.
+    there, so branches that cannot reach full rank are dead.  Each search
+    depth keeps the echelon form of that ideal slice; a node only reduces
+    the multiples of its own relation (the pure-even part of an odd
+    generator's value) into its parent's echelon, in integer arithmetic
+    (`linalg.extend_echelon`), and the prune and the leaf's cheap check
+    read the rank off it.  A complete model passes when its Betti numbers
+    vanish strictly above n = formal_dimension(f) up to audit_bound
+    (default 2n+2, otherwise it must exceed n) and the degree-n
+    cohomology is nonzero.
     """
     if any(d < 2 for d in f.support):
         raise ValueError("search requires a simply connected rank vector")
@@ -299,16 +296,22 @@ def realizable(
     }
 
     kstar = n + 1 if (n + 1) % 2 == 0 else n + 2
-    dim_even_top = len(_even_monomials(free, kstar))
+    top = {vec: i for i, vec in enumerate(_even_exponents(free, kstar))}
+    dim_even_top = len(top)
     evens_forced_closed = all(not cands[g.degree] for g in order if not g.is_odd)
-    # what each odd generator can add to the ideal rank in degree kstar
-    capacity = [
-        len(_even_monomials(free, kstar - g.degree - 1)) if g.is_odd else 0
-        for g in order
-    ]
-    # relations[i]: pure-even parts of the odd values at depths 1..i of
-    # the current path
-    relations: list[tuple] = [()] * (len(order) + 1)
+    # the even monomials m whose multiples m*q of an odd generator's
+    # relation q span that relation's part of the ideal in degree kstar
+    shifts = {
+        g.degree: _even_exponents(free, kstar - g.degree - 1) for g in order if g.is_odd
+    }
+    # reach[i]: the most the odd generators at depths > i can add to the
+    # ideal rank in degree kstar
+    reach = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        reach[i] = reach[i + 1] + (len(shifts[order[i].degree]) if order[i].is_odd else 0)
+    # echelons[i]: the ideal slice in degree kstar spanned by the pure-even
+    # parts of the odd values at depths 1..i of the current path
+    echelons: list[dict] = [{}] * (len(order) + 1)
     examined = 0
 
     def options(path):
@@ -320,15 +323,15 @@ def realizable(
 
     def node(path, model) -> bool:
         depth = len(path)
-        if not depth:
+        if not depth or not dim_even_top:
             return True
-        value = path[-1][1]
-        extra = (_pure_even_part(free, value),) if order[depth - 1].is_odd and value else ()
-        relations[depth] = relations[depth - 1] + extra
-        if evens_forced_closed and dim_even_top:
-            reach = _even_ideal_rank(free, relations[depth], kstar) + sum(capacity[depth:])
-            return reach >= dim_even_top
-        return True
+        g, value = order[depth - 1], path[-1][1]
+        echelon = echelons[depth - 1]
+        if g.is_odd and value:
+            columns = _relation_columns(free, top, value, shifts[g.degree])
+            echelon = extend_echelon(echelon, columns, dim_even_top)
+        echelons[depth] = echelon
+        return not evens_forced_closed or len(echelon) + reach[depth] >= dim_even_top
 
     def leaf(path, model) -> RealizabilityVerdict | None:
         nonlocal examined
@@ -341,10 +344,9 @@ def realizable(
                 note=f"budget of {max_models} complete models exhausted",
             )
         evens_closed = all(not v for (_, v), g in zip(path, order) if not g.is_odd)
-        if dim_even_top and evens_closed:
+        if evens_closed and len(echelons[-1]) < dim_even_top:
             # cheap necessary check before the full Betti audit
-            if _even_ideal_rank(free, relations[-1], kstar) < dim_even_top:
-                return None
+            return None
         if not _betti_profile_ok(model, n, bound):
             return None
         rep = validate_model(model)

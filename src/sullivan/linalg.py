@@ -3,15 +3,19 @@
 Vectors are dicts {index: Fraction} with zero entries absent; matrices
 hold sparse rows.  Elimination prefers pivot rows with few nonzeros to
 limit fill-in, and every computation is exact, so ranks and solvability
-verdicts carry no numerical caveats.
+verdicts carry no numerical caveats.  `extend_echelon` grows an echelon
+form one batch of vectors at a time in integer arithmetic, for ranks
+that a search updates node by node.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 SparseVec = dict[int, Fraction]
+IntVec = dict[int, int]
 
 
 def vec_from_dense(xs: Sequence) -> SparseVec:
@@ -162,6 +166,57 @@ def rref(rows: list[SparseVec], stop_col: int | None = None) -> tuple[list[Spars
 
 def rank(rows: Iterable[SparseVec], ncols: int) -> int:
     return RationalMatrix(rows, ncols).rank()
+
+
+def extend_echelon(
+    echelon: dict[int, IntVec], vectors: Iterable[Mapping], dim: int
+) -> dict[int, IntVec]:
+    """Echelon form of echelon's rows together with vectors, fraction-free.
+
+    An echelon maps the lead (smallest index) of each row to the row, an
+    integer vector with content 1; the leads are distinct, so the rank is
+    its length.  Each new vector is scaled by the lcm of its denominators
+    and divided by its gcd, then has its lead cleared against the row
+    with that lead by integer cross-multiplication (again divided by the
+    gcd) until its lead is new or nothing is left.  Returns a new dict and
+    leaves echelon and its rows as they are.  dim is the dimension of the
+    ambient space: once the rank reaches it, the remaining vectors are not
+    looked at.
+    """
+    out = dict(echelon)
+    for vec in vectors:
+        if len(out) >= dim:
+            break
+        row = _primitive(vec)
+        while row:
+            lead = min(row)
+            pivot = out.get(lead)
+            if pivot is None:
+                out[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            cleared = {j: a * v for j, v in row.items()}
+            for j, v in pivot.items():
+                w = cleared.get(j, 0) - b * v
+                if w:
+                    cleared[j] = w
+                else:
+                    del cleared[j]
+            row = _content_free(cleared)
+    return out
+
+
+def _primitive(vec: Mapping) -> IntVec:
+    """vec's nonzero entries scaled to coprime integers."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    return _content_free({j: c.numerator * (den // c.denominator) for j, c in vec.items() if c})
+
+
+def _content_free(row: IntVec) -> IntVec:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def reduce_against(rref_rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> SparseVec:

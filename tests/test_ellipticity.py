@@ -1,11 +1,16 @@
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import validate_model
+from sullivan.algebra import SullivanModel, validate_model
 from sullivan.cohomology import betti
 from sullivan.ellipticity import (
     RankVector,
+    _even_exponents,
+    _relation_columns,
     canonical_sorted,
     enumerate_candidates,
     feasibility_failures,
@@ -274,3 +279,96 @@ class TestRealizability:
             "2:1,3:2,4:1,5:1": (u, 234),
             "2:2,3:3": (r, 1),
         }
+
+    @pytest.mark.parametrize(
+        "n, coeffs, want",
+        [
+            (7, (-1, 0, 1, 2), {
+                "7:1": ("realized", 1),
+                "5:1,6:1,7:1": ("unrealizable", 1),
+                "4:1,5:2": ("unrealizable", 0),
+                "3:1,6:1,9:1": ("unrealizable", 1),
+                "3:1,4:1,7:1": ("realized", 1),
+                "3:4,6:1": ("unrealizable", 1),
+                "2:1,3:1,5:1": ("realized", 1),
+                "2:1,3:2,4:1,5:1": ("unrealizable", 692),
+                "2:2,3:3": ("realized", 1),
+            }),
+            (6, (-2, -1, 0, 1, 2), {
+                "6:1,11:1": ("realized", 1),
+                "4:1,9:1": ("unrealizable", 0),
+                "3:2": ("realized", 1),
+                "3:2,5:1,6:1": ("unrealizable", 5),
+                "3:3,4:1": ("unrealizable", 0),
+                "2:1,7:1": ("realized", 1),
+                "2:1,4:1,5:2": ("unrealizable", 0),
+                "2:1,3:1,4:1,7:1": ("realized", 1),
+                "2:2,3:1,5:1": ("realized", 1),
+                "2:3,3:3": ("realized", 1),
+            }),
+        ],
+    )
+    def test_wide_box_search_pinned(self, n, coeffs, want):
+        """(status, examined) of every candidate under the wider boxes of
+        `elliptic enumerate --dim 7 --coeffs=-1,0,1,2` and `--dim 6
+        --coeffs=-2,-1,0,1,2`, where the ideal-rank prune does most work."""
+        got = {
+            f.to_string(): (v.status, v.examined)
+            for f in enumerate_candidates(n)
+            for v in [realizable(f, coeff_set=coeffs)]
+        }
+        assert got == want
+
+
+class TestRelationColumns:
+    def test_against_element_products(self):
+        """The prune's integer columns m*q equal, up to the lcm of q's
+        denominators, the products of Elements over the even monomials,
+        for random fractional values of every odd generator of the
+        candidates in dims 2..7 and a range of target degrees."""
+        rng = random.Random(808)
+        fractions = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), 2, -1, 3)
+        checked = mixed = 0
+        for n in range(2, 8):
+            for f in enumerate_candidates(n):
+                free = SullivanModel.free(generators_for(f))
+
+                def even_basis(k):
+                    return [
+                        m for m in free.basis_of_degree(k)
+                        if not any(free.is_odd(name) for name, _ in m.exps)
+                    ]
+
+                for g in free.generators:
+                    basis = free.basis_of_degree(g.degree + 1)
+                    if not g.is_odd or not basis:
+                        continue
+                    for _ in range(30):
+                        picks = rng.sample(list(basis), min(len(basis), rng.randint(1, 4)))
+                        value = free.element_from_terms(
+                            {m: Fraction(rng.choice(fractions)) for m in picks}
+                        )
+                        k = g.degree + 1 + 2 * rng.randint(0, 3)
+                        top_basis = even_basis(k)
+                        top = {vec: i for i, vec in enumerate(_even_exponents(free, k))}
+                        shifts = _even_exponents(free, k - g.degree - 1)
+                        assert len(top) == len(top_basis)
+                        assert len(shifts) == len(even_basis(k - g.degree - 1))
+                        q = free.element_from_terms({
+                            m: c for m, c in value.terms.items()
+                            if not any(free.is_odd(name) for name, _ in m.exps)
+                        })
+                        den = math.lcm(*(c.denominator for c in q.terms.values()))
+                        got = list(_relation_columns(free, top, value, shifts))
+                        want = []
+                        if q:
+                            for m in even_basis(k - g.degree - 1):
+                                product = free.monomial(m) * q
+                                want.append({
+                                    top_basis.index(mon): c * den
+                                    for mon, c in product.terms.items()
+                                })
+                        assert got == want
+                        mixed += len({c.denominator for c in q.terms.values()}) > 1
+                        checked += 1
+        assert checked >= 1000 and mixed >= 100, (checked, mixed)

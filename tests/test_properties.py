@@ -5,13 +5,15 @@ with at most 6 generators in degrees up to 9, exact sequences with slot
 dimensions up to 3), so failures reproduce deterministically.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 from sullivan.algebra import SullivanModel, validate_model
-from sullivan.cohomology import betti, coboundary_matrix
+from sullivan.cohomology import betti, coboundary_matrix, element_to_vector
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
+from sullivan.linalg import RationalMatrix, extend_echelon
 
 CASES = 1000
 
@@ -241,6 +243,107 @@ class TestCompiledDifferential:
             assert cached(second, 5) is value
             after = cached.cache_info()
             assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
+    def test_coboundary_matrix_matches_columnwise_vectors(self):
+        """coboundary_matrix against the matrix assembled one column at a
+        time from element_to_vector, on differentials with non-integral
+        coefficients."""
+        rng = random.Random(606)
+        checked = fractional = 0
+        while checked < 200:
+            model = random_fraction_differential(rng, random_free_model(rng, max_gens=5, max_degree=6))
+            k = rng.randint(0, 10)
+            cols = []
+            for mon in model.basis_of_degree(k):
+                dm = model.d(model.monomial(mon))
+                cols.append(element_to_vector(dm, k + 1) if dm else {})
+            want = RationalMatrix.from_columns(cols, model.dimension_of_degree(k + 1))
+            got = coboundary_matrix(model, k)
+            assert (got.rows, got.ncols) == (want.rows, want.ncols)
+            fractional += any(v.denominator > 1 for row in got.rows for v in row.values())
+            checked += 1
+        assert fractional >= 20
+
+
+def random_columns(rng, ncols):
+    """Up to 9 vectors over range(ncols): random sparse ones with integral
+    or fractional entries, zero vectors, repeats of earlier vectors (some
+    rescaled) and combinations of two earlier vectors.  Returns them and
+    the set of kinds among "fraction", "zero" and "repeated" they show."""
+    out = []
+    kinds = set()
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if out and kind < 0.15:
+            vec = dict(rng.choice(out))
+            if rng.random() < 0.5:
+                c = rng.choice(FRACTIONS)
+                vec = {j: c * v for j, v in vec.items()}
+            kinds.add("repeated")
+        elif kind < 0.25:
+            vec = rng.choice(({}, {rng.randrange(ncols): 0}))
+            kinds.add("zero")
+        elif len(out) >= 2 and kind < 0.4:
+            a, b = rng.sample(out, 2)
+            ca, cb = rng.choice(FRACTIONS), rng.choice(FRACTIONS)
+            vec = {j: ca * a.get(j, 0) + cb * b.get(j, 0) for j in set(a) | set(b)}
+        else:
+            vec = {
+                j: rng.choice(FRACTIONS) if rng.random() < 0.3 else rng.randint(-4, 4)
+                for j in rng.sample(range(ncols), rng.randint(1, ncols))
+            }
+        out.append(vec)
+    if any(Fraction(v).denominator > 1 for vec in out for v in vec.values()):
+        kinds.add("fraction")
+    return out, kinds
+
+
+def assert_echelon_form(echelon):
+    for lead, row in echelon.items():
+        assert lead == min(row)
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+class TestIncrementalEchelon:
+    def test_against_rational_rank(self):
+        """extend_echelon, in one step or several, has the rank of the
+        same vectors under RationalMatrix.rank, keeps its input intact,
+        and its rows span the vectors' space."""
+        rng = random.Random(707)
+        seen = {"fraction": 0, "zero": 0, "repeated": 0, "steps": 0, "full": 0}
+        for _ in range(CASES):
+            ncols = rng.randint(1, 7)
+            cols, kinds = random_columns(rng, ncols)
+            for kind in kinds:
+                seen[kind] += 1
+            want = RationalMatrix.from_columns(cols, ncols).rank()
+            once = extend_echelon({}, cols, ncols)
+            assert len(once) == want
+            assert_echelon_form(once)
+            rows = list(once.values()) + cols
+            as_rows = [{j: Fraction(v) for j, v in row.items() if v} for row in rows]
+            assert RationalMatrix(as_rows, ncols).rank() == want
+            cuts = sorted(rng.sample(range(len(cols) + 1), min(len(cols) + 1, rng.randint(1, 3))))
+            echelon = {}
+            for lo, hi in zip([0] + cuts, cuts + [len(cols)]):
+                before = {lead: dict(row) for lead, row in echelon.items()}
+                grown = extend_echelon(echelon, cols[lo:hi], ncols)
+                assert echelon == before
+                assert len(grown) == RationalMatrix.from_columns(cols[:hi], ncols).rank()
+                echelon = grown
+            assert_echelon_form(echelon)
+            assert len(echelon) == len(once)
+            seen["steps"] += len(cuts) >= 2 and len(cols) >= 2
+            seen["full"] += want == ncols
+        assert min(seen.values()) >= 100, seen
+
+    def test_stops_at_full_rank(self):
+        never_read = iter([{0: 1}, {1: Fraction(1, 2)}, None])
+        echelon = extend_echelon({}, never_read, 2)
+        assert echelon == {0: {0: 1}, 1: {1: 1}}
+        assert extend_echelon(echelon, [None], 2) == echelon
 
 
 def series_product(degrees, top):
