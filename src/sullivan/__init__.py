@@ -19,12 +19,14 @@ from .ellipticity import (
     RankVector,
     RealizabilityVerdict,
     canonical_sorted,
+    elliptic_verdicts,
     enumerate_candidates,
     feasibility_failures,
     fh_feasible,
     formal_dimension,
     rank_vector_of_model,
     realizable,
+    sac_violation,
 )
 from .exactseq import (
     ExactSequenceProblem,
@@ -76,6 +78,7 @@ __all__ = [
     "canonical_sorted",
     "catalog",
     "coboundary_matrix",
+    "elliptic_verdicts",
     "enumerate_candidates",
     "feasibility_failures",
     "fh_feasible",
@@ -89,6 +92,7 @@ __all__ = [
     "realizable",
     "realized_rank_vectors",
     "reproduce",
+    "sac_violation",
     "solve_exact_ranks",
     "validate_model",
     "wang_fiber_betti",

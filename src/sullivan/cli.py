@@ -29,10 +29,10 @@ from .cohomology import betti_table
 from .dsl import ParseError, parse_document
 from .ellipticity import (
     RankVector,
+    elliptic_verdicts,
     enumerate_candidates,
     formal_dimension,
     rank_vector_of_model,
-    realizable,
 )
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
 from .pipeline import (
@@ -184,21 +184,19 @@ def _cmd_model_cohomology(args) -> int:
 
 
 def _cmd_elliptic_enumerate(args) -> int:
-    candidates = enumerate_candidates(args.dim)
     if args.no_prune:
-        for f in candidates:
+        for f in enumerate_candidates(args.dim):
             print(f)
         return 0
     if args.audit_bound is not None and args.audit_bound <= args.dim:
         raise CommandError(f"--audit-bound must exceed --dim {args.dim}")
     coeffs = _default_coeffs(args, (-1, 0, 1))
     undecided = []
-    for f in candidates:
-        verdict = realizable(f, coeff_set=coeffs, audit_bound=args.audit_bound)
+    for verdict in elliptic_verdicts(args.dim, coeffs, args.audit_bound):
         if verdict.status == "realized":
-            print(f)
-        elif verdict.status == "inconclusive":
-            undecided.append(f)
+            print(verdict.f)
+        else:
+            undecided.append(verdict.f)
     if undecided:
         for f in undecided:
             print(f"undecided: {f}", file=sys.stderr)
@@ -300,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     ee = elliptic_sub.add_parser("enumerate", help="elliptic rank vectors for one dimension")
     ee.add_argument("--dim", type=int, required=True)
     ee.add_argument("--no-prune", action="store_true",
-                    help="list every numerically feasible vector, skip the realizability search")
+                    help="list every numerically feasible vector, skip the arithmetic"
+                         " condition and the witness search")
     ee.add_argument("--coeffs", default=None)
     ee.add_argument("--audit-bound", type=int, default=None)
     ee.set_defaults(handler=_cmd_elliptic_enumerate)

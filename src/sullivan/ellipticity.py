@@ -9,16 +9,21 @@ is
 and finite-dimensional cohomology forces the classical numeric bounds
 (at least as many odd ranks as even, odd degrees summing to at most
 2n-1, even degrees to at most n).  `enumerate_candidates` lists every
-vector passing those bounds for a given n; `realizable` then searches
-for an actual minimal model with the right cohomology profile, by trying
-differentials with coefficients from a small set and auditing Betti
-numbers above the formal dimension.
+vector passing those bounds for a given n.  The bounds are necessary
+only; the strong arithmetic condition of Friedlander and Halperin
+(`sac_violation`) decides which candidates are rank vectors of elliptic
+spaces.  `realizable` searches for a witness, an actual minimal model
+with the right cohomology profile, by trying differentials with
+coefficients from a small set and auditing Betti numbers above the
+formal dimension; `elliptic_verdicts` runs it on the candidates that
+meet the condition and on no others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -132,7 +137,12 @@ def rank_vector_of_model(model: SullivanModel) -> RankVector:
 
 
 def feasibility_failures(f: RankVector, n: int) -> list[str]:
-    """Which of the finite-cohomology numeric constraints fail for target n."""
+    """Which of the finite-cohomology numeric bounds fail for target n.
+
+    These are necessary conditions on the sums and counts of degrees, not
+    the Friedlander-Halperin arithmetic condition (`sac_violation`): a
+    vector can pass them and still carry no elliptic model, e.g.
+    {3:1, 4:1, 5:1} for n = 5."""
     out = []
     if formal_dimension(f) != n:
         out.append(f"formal dimension {formal_dimension(f)} != {n}")
@@ -146,6 +156,8 @@ def feasibility_failures(f: RankVector, n: int) -> list[str]:
 
 
 def fh_feasible(f: RankVector, n: int) -> bool:
+    """f passes every numeric bound of `feasibility_failures` for n; see
+    `sac_violation` for the condition that decides ellipticity."""
     return not feasibility_failures(f, n)
 
 
@@ -182,6 +194,51 @@ def enumerate_candidates(n: int) -> list[RankVector]:
 
     rec(2, 2 * n - 1, n, [])
     return canonical_sorted(out)
+
+
+def _sum_of_two_or_more(k: int, degrees: Sequence[int]) -> bool:
+    """Whether k is a sum of at least two entries of degrees, repeats
+    allowed."""
+    one = set()  # sums of at least one entry, below k
+    for j in range(1, k):
+        if any(j == d or j - d in one for d in degrees):
+            one.add(j)
+    return any(k - d in one for d in degrees)
+
+
+def sac_violation(f: RankVector) -> tuple[int, ...] | None:
+    """The even degrees of a set of generators on which f fails the strong
+    arithmetic condition (SAC) of Friedlander and Halperin, or None when f
+    meets it.
+
+    SAC: for every nonempty set S of even generators, at least |S| odd
+    generators y have |y|+1 equal to a sum of at least two degrees from S,
+    repeats allowed.  Whether an odd y counts depends only on the set D of
+    degrees in S, and the largest S with degrees D (every even generator
+    whose degree lies in D) is the hardest, so only the subsets D of
+    distinct even degrees are tried, smallest first.  A simply connected f
+    meets SAC exactly when it is the rank vector of an elliptic space:
+    Friedlander and Halperin, Invent. Math. 53 (1979); Felix, Halperin and
+    Thomas, Rational Homotopy Theory, GTM 205, section 32.
+
+    Necessity: the pure model associated with an elliptic minimal model
+    has the same ranks and finite cohomology, so the even generators x
+    span a polynomial ring Q[x] modulo whose ideal (dy : y odd) is finite
+    dimensional.  Setting the evens outside S to zero keeps the quotient
+    finite dimensional, now of Q[x_S], and a polynomial ring in |S|
+    variables needs at least |S| relations for that.  Minimality makes
+    each dy decomposable, so its image in Q[x_S] is zero unless |y|+1 is a
+    sum of at least two degrees from S.
+    """
+    evens = [(d, c) for d, c in f.counts if d % 2 == 0]
+    odds = [(d, c) for d, c in f.counts if d % 2 == 1]
+    for size in range(1, len(evens) + 1):
+        for chosen in combinations(evens, size):
+            degrees = [d for d, _ in chosen]
+            relations = sum(c for d, c in odds if _sum_of_two_or_more(d + 1, degrees))
+            if relations < sum(c for _, c in chosen):
+                return tuple(degrees)
+    return None
 
 
 # -- realizability search -------------------------------------------------
@@ -264,7 +321,8 @@ def realizable(
 
     Differentials are built in ascending generator degree; each candidate
     value is a combination of decomposable monomials of the right degree
-    with coefficients from coeff_set.  d*d = 0 prunes as soon as it can,
+    with coefficients from coeff_set, tried in ascending order whatever
+    order the set is given in.  d*d = 0 prunes as soon as it can,
     and so does a rank bound on the ideal the polynomial part must
     swallow: with the even generators closed, cohomology in an even
     degree just above n contains the cokernel of the relation ideal
@@ -286,7 +344,7 @@ def realizable(
     if n < 1:
         return RealizabilityVerdict("unrealizable", f, note="formal dimension < 1")
     bound = audit_bound if audit_bound is not None else 2 * n + 2
-    coeffs = tuple(dict.fromkeys(Fraction(c) for c in coeff_set))
+    coeffs = tuple(sorted({Fraction(c) for c in coeff_set}))
     coeff_text = sorted(map(str, coeffs))
     free = SullivanModel.free(generators_for(f))
     order = sorted(free.generators, key=lambda g: g.degree)
@@ -370,3 +428,18 @@ def realizable(
         note=f"no model with coefficients from {coeff_text}"
         f" has the elliptic profile through degree {bound}",
     )
+
+
+def elliptic_verdicts(
+    n: int,
+    coeff_set: Sequence = (-1, 0, 1),
+    audit_bound: int | None = None,
+) -> Iterator[RealizabilityVerdict]:
+    """The witness search's verdicts, in canonical order, for the candidates
+    of formal dimension n that meet SAC, i.e. the rank vectors of elliptic
+    spaces of dimension n.  Candidates failing SAC are never searched.  A
+    verdict other than "realized" means that no witness was found with
+    coefficients from coeff_set, not that f is not elliptic."""
+    for f in enumerate_candidates(n):
+        if sac_violation(f) is None:
+            yield realizable(f, coeff_set=coeff_set, audit_bound=audit_bound)

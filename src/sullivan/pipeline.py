@@ -48,10 +48,9 @@ from .cohomology import (
 )
 from .ellipticity import (
     RankVector,
-    enumerate_candidates,
+    elliptic_verdicts,
     formal_dimension,
     rank_vector_of_model,
-    realizable,
 )
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
 from .linalg import RationalMatrix, reduce_against, rref
@@ -754,9 +753,10 @@ _TARGET_ALIASES = {
 
 
 def realized_rank_vectors(n: int) -> list[RankVector]:
-    """Elliptic candidates in dimension n that pass the realizability
-    search: a witness model exists and the impossible ones are pruned."""
-    return [f for f in enumerate_candidates(n) if realizable(f).status == "realized"]
+    """Rank vectors of elliptic spaces of dimension n, in canonical order,
+    for which the witness search finds a model; the candidates failing
+    the arithmetic condition are never searched."""
+    return [v.f for v in elliptic_verdicts(n) if v.status == "realized"]
 
 
 def audit_table() -> list[str]:

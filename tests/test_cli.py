@@ -200,6 +200,28 @@ class TestEllipticEnumerate:
         assert out == ""
         assert "--audit-bound" in err
 
+    @pytest.mark.parametrize(
+        "dim, impossible",
+        [("5", "{3:1, 4:1, 5:1}"), ("6", "{3:2, 5:1, 6:1}"), ("7", "{5:1, 6:1, 7:1}")],
+    )
+    def test_low_audit_bound_prints_no_impossible_vector(self, capsys, dim, impossible):
+        # an audit window ending at n+1 misses the higher cohomology of some
+        # model on these vectors; the arithmetic condition rules them out
+        # before any search
+        code, out, _ = run(capsys, "elliptic", "enumerate", "--dim", dim,
+                           "--audit-bound", str(int(dim) + 1))
+        assert code == 0
+        assert impossible not in out.splitlines()
+        _, default, _ = run(capsys, "elliptic", "enumerate", "--dim", dim)
+        assert out == default
+
+    def test_missing_witness_is_undecided(self, capsys):
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "2",
+                             "--coeffs", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "undecided: {2:1, 3:1}\n"
+
     def test_bad_coeffs_exits_2(self, capsys):
         code, _, err = run(capsys, "elliptic", "enumerate", "--dim", "3",
                            "--coeffs", "zero")

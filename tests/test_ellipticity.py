@@ -12,6 +12,7 @@ from sullivan.ellipticity import (
     _even_exponents,
     _relation_columns,
     canonical_sorted,
+    elliptic_verdicts,
     enumerate_candidates,
     feasibility_failures,
     fh_feasible,
@@ -19,6 +20,7 @@ from sullivan.ellipticity import (
     generators_for,
     rank_vector_of_model,
     realizable,
+    sac_violation,
 )
 
 FEASIBLE = {
@@ -183,6 +185,51 @@ class TestEnumeration:
         assert canonical_sorted([a, b]) == [b, a]
 
 
+class TestArithmeticCondition:
+    @pytest.mark.parametrize(
+        "text, failing",
+        [
+            # no odd y has |y|+1 in {8, 12, ...}
+            ("3:1,4:1,5:1", (4,)),
+            ("2:3,3:3", None),
+            # no even generators: nothing to check
+            ("3:1,5:1", None),
+            ("7:1", None),
+            # |S| counts generators, not degrees: two degree-2 evens, one relation
+            ("2:2,3:1", (2,)),
+            # each degree alone has its relation; together they need two
+            ("2:1,4:1,7:1", (2, 4)),
+            ("2:1,3:2,4:1,5:1", (4,)),
+            ("3:2,5:1,6:1", (6,)),
+        ],
+    )
+    def test_hand_checked(self, text, failing):
+        assert sac_violation(RankVector.parse(text)) == failing
+
+    @pytest.mark.parametrize("coeffs", [(-1, 0, 1), (-1, 0, 1, 2), (-2, -1, 0, 1, 2)])
+    def test_agrees_with_search(self, coeffs):
+        """On every candidate of dims 2..7, the condition holds exactly
+        when the witness search realizes the vector."""
+        for n in range(2, 8):
+            for f in enumerate_candidates(n):
+                v = realizable(f, coeff_set=coeffs)
+                assert (sac_violation(f) is None) == (v.status == "realized"), (f, v.status)
+
+    def test_dim_8(self):
+        """13 of the 30 dim-8 candidates meet the condition; within its
+        budget the search realizes none of the other 17."""
+        candidates = enumerate_candidates(8)
+        failing = [f for f in candidates if sac_violation(f) is not None]
+        assert (len(candidates), len(failing)) == (30, 17)
+        for f in failing:
+            assert realizable(f, max_models=50).status != "realized", f
+
+    def test_verdicts_skip_failing_candidates(self):
+        # {3:1, 4:1, 5:1} is never searched
+        got = [(str(v.f), v.status) for v in elliptic_verdicts(5)]
+        assert got == [("{5:1}", "realized"), ("{2:1, 3:2}", "realized")]
+
+
 class TestRealizability:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_survivors_match(self, n):
@@ -218,6 +265,17 @@ class TestRealizability:
         plain = realizable(f, coeff_set=(-1, 0, 1))
         repeated = realizable(f, coeff_set=(-1, 0, 1, 1, 0))
         assert (repeated.status, repeated.examined) == (plain.status, plain.examined) == ("unrealizable", 3)
+
+    @pytest.mark.parametrize(
+        "given, ascending",
+        [((0, 1, -1), (-1, 0, 1)), ((0, Fraction(1, 2), -3), (-3, 0, Fraction(1, 2)))],
+    )
+    def test_coefficient_order_ignored(self, given, ascending):
+        f = RankVector.parse("2:3,3:3")
+        a = realizable(f, coeff_set=given)
+        b = realizable(f, coeff_set=ascending)
+        assert (a.status, a.examined, a.model) == (b.status, b.examined, b.model)
+        assert (a.status, a.examined) == ("realized", 1)
 
     def test_rejects_degree_one(self):
         with pytest.raises(ValueError):
