@@ -24,6 +24,7 @@ from .ellipticity import (
     feasibility_failures,
     fh_feasible,
     formal_dimension,
+    pure_witness,
     rank_vector_of_model,
     realizable,
     sac_violation,
@@ -88,6 +89,7 @@ __all__ = [
     "formal_dimension",
     "parse_document",
     "parse_model",
+    "pure_witness",
     "rank_vector_of_model",
     "realizable",
     "realized_rank_vectors",

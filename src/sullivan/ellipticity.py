@@ -12,11 +12,14 @@ and finite-dimensional cohomology forces the classical numeric bounds
 vector passing those bounds for a given n.  The bounds are necessary
 only; the strong arithmetic condition of Friedlander and Halperin
 (`sac_violation`) decides which candidates are rank vectors of elliptic
-spaces.  `realizable` searches for a witness, an actual minimal model
-with the right cohomology profile, by trying differentials with
-coefficients from a small set and auditing Betti numbers above the
-formal dimension; `elliptic_verdicts` runs it on the candidates that
-meet the condition and on no others.
+spaces.  `pure_witness` builds, for a vector meeting it, a pure model on
+its generators and certifies its cohomology finite (the sufficiency
+half of Friedlander-Halperin).  `realizable` searches instead for a
+minimal model with the right cohomology profile, by trying
+differentials with coefficients from a small set and auditing Betti
+numbers above the formal dimension.  `elliptic_verdicts` decides the
+candidates that meet the condition, and no others, by a pure witness,
+falling back to the search only when none is found.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
+    Element,
     GeneratorSpec,
     SullivanModel,
     coefficient_box,
@@ -246,12 +250,14 @@ def sac_violation(f: RankVector) -> tuple[int, ...] | None:
 
 @dataclass
 class RealizabilityVerdict:
-    """Result of the model search for one rank vector.
+    """Result of the witness construction or search for one rank vector.
 
     status is "realized" (model and betti present), "unrealizable" (the
     whole coefficient box was exhausted), or "inconclusive" (budget ran
     out first).  `examined` counts complete differential assignments that
-    passed d*d = 0.
+    passed d*d = 0; it is 0 for a pure witness, which is built, not
+    searched.  `note` names the coefficient set and, for a pure witness,
+    the attempt that found it and the certified bound.
     """
 
     status: str
@@ -309,6 +315,79 @@ def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict[
     q = [(vec, c.numerator * (den // c.denominator)) for vec, c in q]
     for shift in shifts:
         yield {top[tuple(map(add, shift, vec))]: c for vec, c in q}
+
+
+PURE_ATTEMPTS = 8
+
+
+def _lcg_coefficients(coeffs: Sequence[Fraction], attempt: int, index: int) -> Iterator[Fraction]:
+    """Coefficients drawn from coeffs by the 32-bit linear congruential
+    generator of ANSI C, seeded by (attempt, index): a fixed arithmetic
+    rule, so every run picks the same ones."""
+    state = (attempt << 16) ^ index
+    while coeffs:
+        state = (1103515245 * state + 12345) & 0xFFFFFFFF
+        yield coeffs[(state >> 16) % len(coeffs)]
+
+
+def pure_witness(
+    f: RankVector, coeff_set: Sequence = (-1, 0, 1)
+) -> tuple[SullivanModel, int] | None:
+    """A pure minimal model on f's generators certified to have finite
+    cohomology, with the attempt that found it, or None.
+
+    The model has dx = 0 on the even generators x and, on the odd
+    generators y, dy a combination of the even-only monomials of length
+    at least 2 in degree |y|+1, so d*d = 0 and the model is minimal.  The
+    coefficients come from coeff_set, sorted, by `_lcg_coefficients`;
+    attempt a = 0, 1, ..., PURE_ATTEMPTS - 1 reseeds it.
+
+    Certificate: a pure model has finite cohomology iff Q[x]/(dy) is
+    finite (Halperin, Trans. AMS 230, 1977; Felix, Halperin and Thomas,
+    GTM 205, section 32).  Let e be the largest even generator degree and
+    n = formal_dimension(f).  If the ideal (dy) fills every even degree k
+    in (n, n+e], it fills every degree D > n+e too, by induction on D: a
+    monomial of degree D is x*m for some generator x, m has degree D-|x|
+    in (n, D), so m lies in the ideal, and so does x*m.  Then Q[x]/(dy)
+    lives in degrees <= n.  Each slice is checked by integer elimination
+    of the multiples m*dy (`_relation_columns`, `extend_echelon`).
+    """
+    if any(d < 2 for d in f.support):
+        raise ValueError("a pure witness requires a simply connected rank vector")
+    n = formal_dimension(f)
+    coeffs = tuple(sorted({Fraction(c) for c in coeff_set}))
+    free = SullivanModel.free(generators_for(f))
+    odds = [g for g in free.generators if g.is_odd]
+    e = max((g.degree for g in free.generators if not g.is_odd), default=0)
+    # per even degree k in (n, n+e]: the even monomials of degree k, and
+    # per odd y those m whose multiples m*dy land there
+    slices = []
+    for k in range(n + 2 - n % 2, n + e + 1, 2):
+        top = {vec: i for i, vec in enumerate(_even_exponents(free, k))}
+        slices.append((top, [_even_exponents(free, k - y.degree - 1) for y in odds]))
+    monomials = [
+        [
+            m for m in free.basis_of_degree(y.degree + 1)
+            if m.factor_count >= 2 and not any(free.is_odd(x) for x, _ in m.exps)
+        ]
+        for y in odds
+    ]
+    for attempt in range(PURE_ATTEMPTS):
+        values = [
+            Element(free, dict(zip(mons, _lcg_coefficients(coeffs, attempt, j))))
+            for j, mons in enumerate(monomials)
+        ]
+        for top, shifts in slices:
+            columns = (
+                column
+                for value, shift in zip(values, shifts)
+                for column in _relation_columns(free, top, value, shift)
+            )
+            if len(extend_echelon({}, columns, len(top))) < len(top):
+                break
+        else:
+            return free.with_differentials(dict(zip((y.name for y in odds), values))), attempt
+    return None
 
 
 def realizable(
@@ -401,9 +480,13 @@ def realizable(
                 examined=examined,
                 note=f"budget of {max_models} complete models exhausted",
             )
-        evens_closed = all(not v for (_, v), g in zip(path, order) if not g.is_odd)
-        if evens_closed and len(echelons[-1]) < dim_even_top:
-            # cheap necessary check before the full Betti audit
+        if len(echelons[-1]) < dim_even_top:
+            # cheap necessary check before the full Betti audit, sound
+            # whatever the evens' differentials: the associated pure model
+            # (dx = 0, dy = the pure-even part of dy) of an elliptic model
+            # is elliptic of the same formal dimension n (FHT GTM 205,
+            # section 32), and its H_0 = Q[x]/(pure-even parts of the dy)
+            # lies inside its cohomology, so it vanishes in degree kstar > n
             return None
         if not _betti_profile_ok(model, n, bound):
             return None
@@ -435,11 +518,30 @@ def elliptic_verdicts(
     coeff_set: Sequence = (-1, 0, 1),
     audit_bound: int | None = None,
 ) -> Iterator[RealizabilityVerdict]:
-    """The witness search's verdicts, in canonical order, for the candidates
-    of formal dimension n that meet SAC, i.e. the rank vectors of elliptic
-    spaces of dimension n.  Candidates failing SAC are never searched.  A
-    verdict other than "realized" means that no witness was found with
-    coefficients from coeff_set, not that f is not elliptic."""
+    """Witness verdicts, in canonical order, for the candidates of formal
+    dimension n that meet SAC, i.e. the rank vectors of elliptic spaces of
+    dimension n.  Candidates failing SAC get no verdict.  Each of the
+    others gets its `pure_witness` when there is one, a "realized"
+    verdict that is a finiteness proof; otherwise `realizable` searches
+    the coefficient box, with audit_bound.  A verdict other than
+    "realized" means that no witness was found with coefficients from
+    coeff_set, not that f is not elliptic."""
+    if audit_bound is not None and audit_bound <= n:
+        raise ValueError(f"audit bound {audit_bound} must exceed the formal dimension {n}")
+    coeff_text = sorted({str(Fraction(c)) for c in coeff_set})
     for f in enumerate_candidates(n):
-        if sac_violation(f) is None:
+        if sac_violation(f) is not None:
+            continue
+        found = pure_witness(f, coeff_set)
+        if found is None:
             yield realizable(f, coeff_set=coeff_set, audit_bound=audit_bound)
+            continue
+        model, attempt = found
+        yield RealizabilityVerdict(
+            "realized",
+            f,
+            model=model,
+            betti=betti_table(model, n),
+            note=f"pure witness (attempt {attempt}) with coefficients from {coeff_text},"
+            f" Q[x]/(dy) zero above degree {n}",
+        )

@@ -754,8 +754,9 @@ _TARGET_ALIASES = {
 
 def realized_rank_vectors(n: int) -> list[RankVector]:
     """Rank vectors of elliptic spaces of dimension n, in canonical order,
-    for which the witness search finds a model; the candidates failing
-    the arithmetic condition are never searched."""
+    that `elliptic_verdicts` realizes, by a certified pure witness or else
+    the box search; the candidates failing the arithmetic condition get
+    no verdict."""
     return [v.f for v in elliptic_verdicts(n) if v.status == "realized"]
 
 

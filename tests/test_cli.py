@@ -170,6 +170,27 @@ class TestEllipticEnumerate:
         assert code == 0
         assert out.splitlines() == ["{5:1}", "{2:1, 3:2}"]
 
+    def test_dim_8(self, capsys):
+        # the 13 dim-8 candidates meeting the arithmetic condition, each
+        # decided by a certified pure witness, none by the box search
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "8")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "{8:1, 15:1}",
+            "{4:1, 11:1}",
+            "{4:2, 7:2}",
+            "{3:1, 5:1}",
+            "{2:1, 9:1}",
+            "{2:1, 4:1, 5:1, 7:1}",
+            "{2:1, 3:1, 6:1, 11:1}",
+            "{2:1, 3:3}",
+            "{2:2, 5:2}",
+            "{2:2, 3:1, 7:1}",
+            "{2:2, 3:2, 4:1, 7:1}",
+            "{2:3, 3:2, 5:1}",
+            "{2:4, 3:4}",
+        ]
+
     def test_dim_4_no_prune_is_superset(self, capsys):
         code, pruned, _ = run(capsys, "elliptic", "enumerate", "--dim", "4")
         assert code == 0

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from sullivan.algebra import SullivanModel, validate_model
-from sullivan.cohomology import betti
+from sullivan.cohomology import betti, betti_table
 from sullivan.ellipticity import (
+    PURE_ATTEMPTS,
     RankVector,
+    _betti_profile_ok,
     _even_exponents,
     _relation_columns,
     canonical_sorted,
@@ -18,6 +20,7 @@ from sullivan.ellipticity import (
     fh_feasible,
     formal_dimension,
     generators_for,
+    pure_witness,
     rank_vector_of_model,
     realizable,
     sac_violation,
@@ -376,6 +379,87 @@ class TestRealizability:
             for v in [realizable(f, coeff_set=coeffs)]
         }
         assert got == want
+
+
+class TestPureWitness:
+    def test_certificate_exactly_on_sac_vectors(self):
+        """Every candidate of dims 2..11 meeting SAC gets a certified pure
+        witness under (-1, 0, 1), within three attempts; no candidate
+        failing SAC ever gets one, as a sound certificate implies SAC."""
+        attempts = []
+        for n in range(2, 12):
+            for f in enumerate_candidates(n):
+                found = pure_witness(f)
+                assert (found is not None) == (sac_violation(f) is None), f
+                if found is not None:
+                    attempts.append(found[1])
+        assert len(attempts) == 78
+        assert max(attempts) == 2 < PURE_ATTEMPTS
+
+    @pytest.mark.parametrize("coeffs", [(-1, 0, 1), (-1, 0, 1, 2), (-2, -1, 0, 1, 2)])
+    def test_witnesses_are_elliptic(self, coeffs):
+        """Dims 2..7: each witness is a pure minimal model on f whose Betti
+        numbers vanish above n through 2n+2, with a top class in degree n."""
+        for n in range(2, 8):
+            for f in enumerate_candidates(n):
+                if sac_violation(f) is not None:
+                    continue
+                model, _ = pure_witness(f, coeffs)
+                assert validate_model(model).ok, f
+                assert rank_vector_of_model(model) == f
+                assert _betti_profile_ok(model, n, 2 * n + 2), f
+                for g in model.generators:
+                    dg = model.d_of_generator(g.name)
+                    assert not dg or g.is_odd
+                    assert all(not any(model.is_odd(x) for x, _ in m.exps) for m in dg.terms)
+
+    def test_dim_8_witnesses_profile(self):
+        """The 13 dim-8 witnesses have no cohomology in (8, 8+e], e the
+        largest even generator degree, and a top class in degree 8."""
+        found = 0
+        for f in enumerate_candidates(8):
+            if sac_violation(f) is None:
+                model, _ = pure_witness(f)
+                e = max((d for d in f.support if d % 2 == 0), default=0)
+                assert _betti_profile_ok(model, 8, 8 + e), f
+                found += 1
+        assert found == 13
+
+    def test_deterministic_and_order_free(self):
+        f = RankVector.parse("2:3,3:3")
+        a = pure_witness(f, (1, 0, -1))
+        assert a == pure_witness(f, (-1, 0, 1)) == pure_witness(f, (-1, 0, 1, 1))
+
+    def test_zero_box_has_no_witness_for_evens(self):
+        assert pure_witness(RankVector.parse("2:1,3:1"), (0,)) is None
+        model, attempt = pure_witness(RankVector.parse("3:2"), (0,))
+        assert model.diff == () and attempt == 0
+
+    def test_rejects_degree_one(self):
+        with pytest.raises(ValueError):
+            pure_witness(RankVector.parse("1:1,2:1"))
+
+
+class TestVerdicts:
+    def test_pure_verdict_contract(self):
+        for v in elliptic_verdicts(6):
+            n = formal_dimension(v.f)
+            assert (v.status, v.examined) == ("realized", 0)
+            assert "pure witness" in v.note
+            assert v.betti == betti_table(v.model, n) and v.betti[n] == 1
+
+    def test_falls_back_to_search(self):
+        # no pure witness exists in the zero box once there is an even
+        # generator, so the box search decides, as realizable alone would
+        got = list(elliptic_verdicts(2, coeff_set=(0,)))
+        want = realizable(RankVector.parse("2:1,3:1"), coeff_set=(0,))
+        assert [(v.f, v.status, v.examined, v.note) for v in got] == [
+            (want.f, "unrealizable", want.examined, want.note)
+        ]
+
+    def test_audit_bound_must_exceed_formal_dimension(self):
+        with pytest.raises(ValueError):
+            next(elliptic_verdicts(5, audit_bound=5))
 
 
 class TestRelationColumns:
