@@ -252,9 +252,9 @@ def sac_violation(f: RankVector) -> tuple[int, ...] | None:
 class RealizabilityVerdict:
     """Result of the witness construction or search for one rank vector.
 
-    status is "realized" (model and betti present), "unrealizable" (the
-    whole coefficient box was exhausted), or "inconclusive" (budget ran
-    out first).  `examined` counts complete differential assignments that
+    status is "realized" (model present), "unrealizable" (the whole
+    coefficient box was exhausted), or "inconclusive" (budget ran out
+    first).  `examined` counts complete differential assignments that
     passed d*d = 0; it is 0 for a pure witness, which is built, not
     searched.  `note` names the coefficient set and, for a pure witness,
     the attempt that found it and the certified bound.
@@ -263,9 +263,16 @@ class RealizabilityVerdict:
     status: str
     f: RankVector
     model: SullivanModel | None = None
-    betti: BettiTable | None = None
     examined: int = 0
     note: str = ""
+
+    @property
+    def betti(self) -> BettiTable | None:
+        """The model's Betti numbers through the formal dimension, computed
+        on demand: deciding a vector never needs the whole table."""
+        if self.model is None:
+            return None
+        return betti_table(self.model, formal_dimension(self.f))
 
 
 def generators_for(f: RankVector) -> list[GeneratorSpec]:
@@ -496,7 +503,6 @@ def realizable(
             "realized",
             f,
             model=model,
-            betti=betti_table(model, n),
             examined=examined,
             note=f"coefficients from {coeff_text}",
         )
@@ -541,7 +547,6 @@ def elliptic_verdicts(
             "realized",
             f,
             model=model,
-            betti=betti_table(model, n),
             note=f"pure witness (attempt {attempt}) with coefficients from {coeff_text},"
             f" Q[x]/(dy) zero above degree {n}",
         )

@@ -3,9 +3,12 @@
 Vectors are dicts {index: Fraction} with zero entries absent; matrices
 hold sparse rows.  Elimination prefers pivot rows with few nonzeros to
 limit fill-in, and every computation is exact, so ranks and solvability
-verdicts carry no numerical caveats.  `extend_echelon` grows an echelon
-form one batch of vectors at a time in integer arithmetic, for ranks
-that a search updates node by node.
+verdicts carry no numerical caveats.  A `RationalMatrix` is eliminated
+once: `rref` records its row operations as it goes, and `rank`,
+`nullspace_basis` and `solve` all read that one elimination, `solve` by
+replaying the operations on the right-hand side alone.  `extend_echelon`
+grows an echelon form one batch of vectors at a time in integer
+arithmetic, for ranks that a search updates node by node.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from typing import Iterable, Mapping, Sequence
 
 SparseVec = dict[int, Fraction]
 IntVec = dict[int, int]
+# one elimination step: (pivot row, pivot column, scale of the pivot row,
+# target rows, their multipliers), rows as indices into rref's input
+Step = tuple[int, int, Fraction, list[int], list[Fraction]]
 
 
 def vec_from_dense(xs: Sequence) -> SparseVec:
@@ -46,6 +52,7 @@ class RationalMatrix:
         self.rows = [dict(r) for r in rows]
         self.ncols = ncols
         self._rref: tuple[list[SparseVec], list[int]] | None = None
+        self._steps: list[Step] = []
         self._left_nullspace: list[SparseVec] | None = None
 
     @classmethod
@@ -76,31 +83,34 @@ class RationalMatrix:
     # -- elimination -----------------------------------------------------
 
     def rref(self) -> tuple[list[SparseVec], list[int]]:
-        """Reduced row echelon form: (rows, pivot column per row)."""
+        """Reduced row echelon form: (rows, pivot column per row).  The one
+        elimination of this matrix; its row operations are kept for `solve`."""
         if self._rref is None:
-            self._rref = rref([dict(r) for r in self.rows])
+            self._rref = rref([dict(r) for r in self.rows], self._steps)
         return self._rref
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def solve(self, rhs: SparseVec | Sequence) -> list[Fraction] | None:
-        """One solution y of (self) y = rhs, free variables 0; None if none."""
+        """One solution y of (self) y = rhs, free variables 0; None if none.
+
+        The row operations of the elimination carry rhs to its reduced
+        form: its entry in a pivot row is y at that row's pivot column,
+        and a nonzero entry left in any other row (one the elimination
+        emptied) means the system is inconsistent.
+        """
         if not isinstance(rhs, dict):
             rhs = vec_from_dense(rhs)
-        aug = []
-        for i, row in enumerate(self.rows):
-            r = dict(row)
-            if rhs.get(i):
-                r[self.ncols] = rhs[i]
-            aug.append(r)
-        reduced, pivots = rref(aug, stop_col=self.ncols)
+        self.rref()
+        b = {i: Fraction(c) for i, c in rhs.items() if c and 0 <= i < self.nrows}
+        replay(self._steps, b)
         y = [Fraction(0)] * self.ncols
-        for row, p in zip(reduced, pivots):
-            if p == self.ncols:
-                return None  # a row 0 = nonzero
-            y[p] = row.get(self.ncols, Fraction(0))
-        return y
+        for row, col, *_ in self._steps:
+            c = b.pop(row, None)
+            if c is not None:
+                y[col] = c
+        return None if b else y
 
     def nullspace_basis(self) -> list[SparseVec]:
         """Basis of {v : (self) v = 0}, one vector per free column."""
@@ -125,15 +135,16 @@ class RationalMatrix:
         return self._left_nullspace
 
 
-def rref(rows: list[SparseVec], stop_col: int | None = None) -> tuple[list[SparseVec], list[int]]:
+def rref(rows: list[SparseVec], log: list[Step] | None = None) -> tuple[list[SparseVec], list[int]]:
     """In-place reduced row echelon form of sparse rows.
 
-    Pivots only in columns < stop_col when given (columns past it ride
-    along, which is how augmented systems are handled).  Returns the
-    nonzero rows and their pivot columns; a trailing row whose support
-    lies entirely at or past stop_col keeps its leading index as pivot,
-    letting callers spot inconsistency.
+    Returns the nonzero rows and their pivot columns, in ascending pivot
+    order.  When log is given, every step is appended to it: the pivot
+    row was multiplied by the scale, then each target row had multiplier
+    times the pivot row subtracted.  `replay` applies the same steps to a
+    right-hand side.
     """
+    index = {id(r): i for i, r in enumerate(rows)} if log is not None else None
     placed: list[SparseVec] = []
     pivots: list[int] = []
     pending = [r for r in rows if r]
@@ -147,21 +158,39 @@ def rref(rows: list[SparseVec], stop_col: int | None = None) -> tuple[list[Spars
         if inv != 1:
             for j in list(pivot_row):
                 pivot_row[j] *= inv
-        if stop_col is not None and lead >= stop_col:
-            # cannot pivot here; keep for inconsistency reporting
-            placed.append(pivot_row)
-            pivots.append(lead)
-            pending = [r for r in pending if r]
-            continue
+        targets: list[int] = []
+        multipliers: list[Fraction] = []
         for r in placed + pending:
             c = r.get(lead)
             if c:
                 vec_add_scaled(r, pivot_row, -c)
+                if index is not None:
+                    targets.append(index[id(r)])
+                    multipliers.append(c)
+        if index is not None:
+            log.append((index[id(pivot_row)], lead, inv, targets, multipliers))
         placed.append(pivot_row)
         pivots.append(lead)
         pending = [r for r in pending if r]
     order = sorted(range(len(placed)), key=lambda i: pivots[i])
     return [placed[i] for i in order], [pivots[i] for i in order]
+
+
+def replay(steps: list[Step], b: SparseVec) -> None:
+    """Apply an elimination's row operations to b, in place: b is a
+    right-hand side indexed by the rows the steps were recorded on."""
+    for row, _, scale, targets, multipliers in steps:
+        v = b.get(row)
+        if not v:
+            continue
+        if scale != 1:
+            v = b[row] = v * scale
+        for t, c in zip(targets, multipliers):
+            new = b.get(t, 0) - c * v
+            if new:
+                b[t] = new
+            else:
+                b.pop(t, None)
 
 
 def rank(rows: Iterable[SparseVec], ncols: int) -> int:

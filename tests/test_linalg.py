@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan import linalg
 from sullivan.linalg import (
     RationalMatrix,
     rank,
@@ -181,3 +182,38 @@ class TestNullspace:
     def test_full_rank_kernel_trivial(self):
         m = RationalMatrix.from_dense([[1, 0], [0, 1], [5, 7]])
         assert m.nullspace_basis() == []
+
+
+class TestSingleElimination:
+    @pytest.mark.parametrize("solve_first", [True, False])
+    def test_queries_share_one_rref(self, monkeypatch, solve_first):
+        calls = []
+        original = linalg.rref
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rref", counting)
+        rng = random.Random(11)
+        rows = random_sparse(rng, 7, 6)
+        rows[2] = {j: 2 * v for j, v in rows[0].items()}
+        m = RationalMatrix(rows, 6)
+        before = [dict(r) for r in m.rows]
+        if solve_first:
+            m.solve({0: Fraction(1)})
+        else:
+            m.rank()
+        reduced, pivots = m.rref()
+        snapshot = ([dict(r) for r in reduced], list(pivots))
+        for _ in range(5):
+            y_true = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+            rhs = matvec(rows, y_true)
+            y = m.solve(rhs)
+            assert matvec(rows, y) == rhs
+            m.solve({i: Fraction(1) for i in range(7)})
+        m.rank()
+        m.nullspace_basis()
+        assert len(calls) == 1
+        assert m.rows == before
+        assert m.rref() == snapshot

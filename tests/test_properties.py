@@ -346,6 +346,92 @@ class TestIncrementalEchelon:
         assert extend_echelon(echelon, [None], 2) == echelon
 
 
+def gauss_jordan_solve(rows, ncols, rhs):
+    """Reference solve: dense Gauss-Jordan on the augmented matrix [A | b],
+    pivoting on the first nonzero entry of each column.  Returns the
+    solution with free variables 0, or None when a row reads 0 = nonzero."""
+    aug = [[Fraction(r.get(j, 0)) for j in range(ncols)] + [Fraction(rhs.get(i, 0))]
+           for i, r in enumerate(rows)]
+    pivots = []
+    top = 0
+    for col in range(ncols):
+        piv = next((i for i in range(top, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[top], aug[piv] = aug[piv], aug[top]
+        aug[top] = [v / aug[top][col] for v in aug[top]]
+        for i in range(len(aug)):
+            if i != top and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[top])]
+        pivots.append(col)
+        top += 1
+    if any(row[-1] for row in aug[top:]):
+        return None
+    y = [Fraction(0)] * ncols
+    for row, col in zip(aug, pivots):
+        y[col] = row[-1]
+    return y
+
+
+def random_system(rng):
+    """A sparse Fraction matrix with some zero rows and columns and, often,
+    rows that combine earlier ones; returns its rows and column count."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    dead_cols = set(rng.sample(range(ncols), rng.randint(0, ncols // 2)))
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            row = {}
+        elif len(rows) >= 2 and kind < 0.35:
+            a, b = rng.sample(rows, 2)
+            ca, cb = rng.choice(FRACTIONS), rng.choice(FRACTIONS)
+            row = {j: ca * a.get(j, 0) + cb * b.get(j, 0) for j in set(a) | set(b)}
+        else:
+            live = [j for j in range(ncols) if j not in dead_cols]
+            picks = rng.sample(live, rng.randint(0, len(live))) if live else []
+            row = {
+                j: rng.choice(FRACTIONS) if rng.random() < 0.3 else rng.randint(-4, 4)
+                for j in picks
+            }
+        rows.append({j: Fraction(v) for j, v in row.items() if v})
+    return rows, ncols
+
+
+class TestCachedSolve:
+    def test_against_augmented_gauss_jordan(self):
+        """Every solve on one matrix (replaying its single elimination)
+        equals Gauss-Jordan on the augmented system, free variables 0:
+        for a consistent right-hand side A y, a random one, the zero one
+        and a dense one."""
+        rng = random.Random(808)
+        seen = {"inconsistent": 0, "rank_deficient": 0, "fraction": 0, "zero_row": 0, "zero_col": 0}
+        for _ in range(CASES):
+            rows, ncols = random_system(rng)
+            m = RationalMatrix(rows, ncols)
+            y_true = [Fraction(rng.choice(FRACTIONS)) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+            consistent = {
+                i: s for i, r in enumerate(rows) if (s := sum(v * y_true[j] for j, v in r.items()))
+            }
+            noise = {
+                i: Fraction(rng.choice(FRACTIONS))
+                for i in rng.sample(range(len(rows)), rng.randint(1, len(rows)))
+            }
+            for rhs in (consistent, noise, {}):
+                want = gauss_jordan_solve(rows, ncols, rhs)
+                assert m.solve(rhs) == want
+                seen["inconsistent"] += want is None
+            dense = [noise.get(i, 0) for i in range(len(rows))]
+            assert m.solve(dense) == gauss_jordan_solve(rows, ncols, noise)
+            assert m.solve(consistent) is not None
+            seen["rank_deficient"] += m.rank() < min(len(rows), ncols)
+            seen["fraction"] += any(v.denominator > 1 for r in rows for v in r.values())
+            seen["zero_row"] += any(not r for r in rows)
+            seen["zero_col"] += any(all(j not in r for r in rows) for j in range(ncols))
+        assert min(seen.values()) >= 100, seen
+
+
 def series_product(degrees, top):
     """Coefficients of prod (1+t^d) over odd d times prod 1/(1-t^d) over even d."""
     coeffs = [0] * (top + 1)
