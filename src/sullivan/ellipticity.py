@@ -112,11 +112,6 @@ class RankVector:
         m = self.as_dict()
         return tuple(m.get(i, 0) for i in range(1, upto + 1))
 
-    def sort_key(self) -> tuple[int, ...]:
-        # ascending lex on (f_1, f_2, ...); shared-length padding happens
-        # implicitly since trailing zeros never flip a lex comparison here
-        return self.padded(self.max_degree)
-
     def __str__(self):
         return "{" + ", ".join(f"{d}:{c}" for d, c in self.counts) + "}"
 

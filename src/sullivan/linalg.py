@@ -1,19 +1,22 @@
 """Exact sparse linear algebra over Q.
 
 Vectors are dicts {index: Fraction} with zero entries absent; matrices
-hold sparse rows.  Elimination prefers pivot rows with few nonzeros to
-limit fill-in, and every computation is exact, so ranks and solvability
-verdicts carry no numerical caveats.  A `RationalMatrix` is eliminated
-once: `rref` records its row operations as it goes, and `rank`,
-`nullspace_basis` and `solve` all read that one elimination, `solve` by
-replaying the operations on the right-hand side alone.  `extend_echelon`
-grows an echelon form one batch of vectors at a time in integer
-arithmetic, for ranks that a search updates node by node.
+hold sparse rows.  `rref` files its pending rows by lead column, so
+each step finds the leftmost pivot column without rescanning every
+row, and among the rows leading there it takes the one with fewest
+nonzeros to limit fill-in.  Every computation is exact, so ranks and
+solvability verdicts carry no numerical caveats.  A `RationalMatrix` is
+eliminated once: `rref` records its row operations as it goes, and
+`rank`, `nullspace_basis` and `solve` all read that one elimination,
+`solve` by replaying the operations on the right-hand side alone.
+`extend_echelon` grows an echelon form one batch of vectors at a time
+in integer arithmetic, for ranks that a search updates node by node.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -98,12 +101,16 @@ class RationalMatrix:
         The row operations of the elimination carry rhs to its reduced
         form: its entry in a pivot row is y at that row's pivot column,
         and a nonzero entry left in any other row (one the elimination
-        emptied) means the system is inconsistent.
+        emptied) means the system is inconsistent.  An index of rhs
+        outside range(nrows) raises ValueError.
         """
         if not isinstance(rhs, dict):
-            rhs = vec_from_dense(rhs)
+            rhs = dict(enumerate(rhs))
+        bad = [i for i in rhs if not 0 <= i < self.nrows]
+        if bad:
+            raise ValueError(f"right-hand side index {bad[0]} outside range({self.nrows})")
         self.rref()
-        b = {i: Fraction(c) for i, c in rhs.items() if c and 0 <= i < self.nrows}
+        b = {i: Fraction(c) for i, c in rhs.items() if c}
         replay(self._steps, b)
         y = [Fraction(0)] * self.ncols
         for row, col, *_ in self._steps:
@@ -139,41 +146,61 @@ def rref(rows: list[SparseVec], log: list[Step] | None = None) -> tuple[list[Spa
     """In-place reduced row echelon form of sparse rows.
 
     Returns the nonzero rows and their pivot columns, in ascending pivot
-    order.  When log is given, every step is appended to it: the pivot
-    row was multiplied by the scale, then each target row had multiplier
-    times the pivot row subtracted.  `replay` applies the same steps to a
+    order.  Pending rows are filed in buckets by lead column (their
+    smallest index), with a heap of the leads in use.  Each step pops the
+    smallest lead and takes the sparsest row of its bucket as pivot row.
+    No pending row leads further left, so only the other rows of that
+    bucket have an entry in the pivot column: they are reduced and filed
+    again under their new leads, or dropped once zero.  The rows placed
+    by earlier steps are cleared in the pivot column as well.  The
+    reduced form is unique, so which of several equally sparse rows
+    becomes the pivot row changes only the logged steps, not the result.
+
+    When log is given, every step is appended to it: the pivot row was
+    multiplied by the scale, then each target row had multiplier times
+    the pivot row subtracted.  `replay` applies the same steps to a
     right-hand side.
     """
     index = {id(r): i for i, r in enumerate(rows)} if log is not None else None
+    buckets: dict[int, list[SparseVec]] = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    leads = list(buckets)
+    heapify(leads)
     placed: list[SparseVec] = []
     pivots: list[int] = []
-    pending = [r for r in rows if r]
-    while pending:
-        # among leftmost-leading rows, take the sparsest as pivot row
-        lead = min(min(r) for r in pending)
-        candidates = [r for r in pending if min(r) == lead]
-        pivot_row = min(candidates, key=len)
-        pending.remove(pivot_row)
+    while leads:
+        lead = heappop(leads)
+        bucket = buckets.pop(lead)
+        pivot_row = min(bucket, key=len)
         inv = Fraction(1) / pivot_row[lead]
         if inv != 1:
             for j in list(pivot_row):
                 pivot_row[j] *= inv
         targets: list[int] = []
         multipliers: list[Fraction] = []
-        for r in placed + pending:
+        others = [r for r in bucket if r is not pivot_row]
+        for r in placed + others:
             c = r.get(lead)
             if c:
                 vec_add_scaled(r, pivot_row, -c)
                 if index is not None:
                     targets.append(index[id(r)])
                     multipliers.append(c)
+        for r in others:
+            if r:
+                new = min(r)
+                if new in buckets:
+                    buckets[new].append(r)
+                else:
+                    buckets[new] = [r]
+                    heappush(leads, new)
         if index is not None:
             log.append((index[id(pivot_row)], lead, inv, targets, multipliers))
         placed.append(pivot_row)
         pivots.append(lead)
-        pending = [r for r in pending if r]
-    order = sorted(range(len(placed)), key=lambda i: pivots[i])
-    return [placed[i] for i in order], [pivots[i] for i in order]
+    return placed, pivots
 
 
 def replay(steps: list[Step], b: SparseVec) -> None:

@@ -162,13 +162,6 @@ def find_entry(name: str) -> SpaceCatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}; known: {known}")
 
 
-def entry_for_rank_vector(rv: RankVector) -> SpaceCatalogEntry | None:
-    for entry in catalog():
-        if entry.table_row and entry.rank_vector == rv:
-            return entry
-    return None
-
-
 # -- element and model serialization -----------------------------------------
 
 def element_terms_data(x: Element) -> list[list[str]]:

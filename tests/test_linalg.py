@@ -124,6 +124,32 @@ class TestRref:
         assert res == {1: 1}
 
 
+class ScanCountingRow(dict):
+    """A sparse row that counts the scans made of it: min(row) iterates it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestRrefPivotSearch:
+    def test_pivot_search_scans_each_row_a_bounded_number_of_times(self):
+        # shuffled bidiagonal rows {i: 2, i+1: -1}: each step has one row
+        # leading at its pivot column, so finding the pivots needs about
+        # one scan per row; rescanning every pending row per step takes
+        # about n*n/2
+        n = 400
+        rows = [ScanCountingRow({i: Fraction(2), i + 1: Fraction(-1)}) for i in range(n - 1)]
+        rows.append(ScanCountingRow({n - 1: Fraction(2)}))
+        random.Random(400).shuffle(rows)
+        reduced, pivots = rref(rows)
+        assert pivots == list(range(n))
+        assert all(row == {i: 1} for i, row in enumerate(reduced))
+        assert sum(r.scans for r in rows) <= 3 * n
+
+
 class TestSolve:
     @pytest.mark.parametrize("seed", range(15))
     def test_consistent_system(self, seed):
@@ -148,6 +174,13 @@ class TestSolve:
     def test_zero_rhs(self):
         m = RationalMatrix.from_dense([[1, 1]])
         assert m.solve({}) == [0, 0]
+
+    @pytest.mark.parametrize("rhs", [[1, 5], {1: Fraction(5)}, {0: Fraction(1), -1: Fraction(2)}])
+    def test_out_of_range_rhs_rejected(self, rhs):
+        # dropping the entry outside the single row would "solve" [1, 0] y = 1
+        m = RationalMatrix.from_dense([[1, 0]])
+        with pytest.raises(ValueError, match="outside range"):
+            m.solve(rhs)
 
 
 class TestNullspace:

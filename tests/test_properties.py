@@ -13,7 +13,7 @@ from itertools import product
 from sullivan.algebra import SullivanModel, validate_model
 from sullivan.cohomology import betti, coboundary_matrix, element_to_vector
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
-from sullivan.linalg import RationalMatrix, extend_echelon
+from sullivan.linalg import RationalMatrix, extend_echelon, rref
 
 CASES = 1000
 
@@ -346,27 +346,43 @@ class TestIncrementalEchelon:
         assert extend_echelon(echelon, [None], 2) == echelon
 
 
-def gauss_jordan_solve(rows, ncols, rhs):
-    """Reference solve: dense Gauss-Jordan on the augmented matrix [A | b],
-    pivoting on the first nonzero entry of each column.  Returns the
-    solution with free variables 0, or None when a row reads 0 = nonzero."""
-    aug = [[Fraction(r.get(j, 0)) for j in range(ncols)] + [Fraction(rhs.get(i, 0))]
-           for i, r in enumerate(rows)]
+def gauss_jordan(dense, ncols):
+    """Reference elimination: dense Gauss-Jordan in place on the first
+    ncols columns of the rows, pivoting on the first nonzero entry of each
+    column.  Returns the pivot columns; the rows come out with the pivot
+    rows first, each scaled to 1 at its pivot and alone in its column."""
     pivots = []
     top = 0
     for col in range(ncols):
-        piv = next((i for i in range(top, len(aug)) if aug[i][col]), None)
+        piv = next((i for i in range(top, len(dense)) if dense[i][col]), None)
         if piv is None:
             continue
-        aug[top], aug[piv] = aug[piv], aug[top]
-        aug[top] = [v / aug[top][col] for v in aug[top]]
-        for i in range(len(aug)):
-            if i != top and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[top])]
+        dense[top], dense[piv] = dense[piv], dense[top]
+        dense[top] = [v / dense[top][col] for v in dense[top]]
+        for i in range(len(dense)):
+            if i != top and dense[i][col]:
+                f = dense[i][col]
+                dense[i] = [a - f * b for a, b in zip(dense[i], dense[top])]
         pivots.append(col)
         top += 1
-    if any(row[-1] for row in aug[top:]):
+    return pivots
+
+
+def gauss_jordan_rref(rows, ncols):
+    """Reference rref: the nonzero reduced rows, sparse, and their pivots."""
+    dense = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    pivots = gauss_jordan(dense, ncols)
+    return [{j: v for j, v in enumerate(row) if v} for row in dense[:len(pivots)]], pivots
+
+
+def gauss_jordan_solve(rows, ncols, rhs):
+    """Reference solve: Gauss-Jordan on the augmented matrix [A | b].
+    Returns the solution with free variables 0, or None when a row reads
+    0 = nonzero."""
+    aug = [[Fraction(r.get(j, 0)) for j in range(ncols)] + [Fraction(rhs.get(i, 0))]
+           for i, r in enumerate(rows)]
+    pivots = gauss_jordan(aug, ncols)
+    if any(row[-1] for row in aug[len(pivots):]):
         return None
     y = [Fraction(0)] * ncols
     for row, col in zip(aug, pivots):
@@ -429,6 +445,63 @@ class TestCachedSolve:
             seen["fraction"] += any(v.denominator > 1 for r in rows for v in r.values())
             seen["zero_row"] += any(not r for r in rows)
             seen["zero_col"] += any(all(j not in r for r in rows) for j in range(ncols))
+        assert min(seen.values()) >= 100, seen
+
+
+def tied_system(rng):
+    """A sparse Fraction matrix whose rows share leads and lengths: leads
+    among the first three columns, one to three entries per row, plus zero
+    rows and exact or scaled duplicates of earlier rows."""
+    nrows, ncols = rng.randint(2, 9), rng.randint(1, 7)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            row = {}
+        elif rows and kind < 0.3:
+            c = rng.choice((1, 1) + FRACTIONS)
+            row = {j: c * v for j, v in rng.choice(rows).items()}
+        else:
+            lead = rng.randint(0, min(2, ncols - 1))
+            rest = rng.sample(range(lead + 1, ncols), min(rng.randint(0, 2), ncols - lead - 1))
+            row = {j: rng.choice(FRACTIONS) for j in [lead] + rest}
+        rows.append({j: Fraction(v) for j, v in row.items()})
+    return rows, ncols
+
+
+class TestRrefOracle:
+    def test_against_dense_gauss_jordan(self):
+        """rref, with and without a log, gives the reduced rows and pivots
+        of dense Gauss-Jordan on matrices where several rows share a lead
+        and a length, so that the pivot row is picked among ties; solve on
+        the logged elimination gives Gauss-Jordan's free-variables-0
+        solution for consistent and random right-hand sides."""
+        rng = random.Random(1111)
+        seen = {"tie": 0, "duplicate": 0, "zero_row": 0, "fraction": 0, "inconsistent": 0}
+        for _ in range(CASES):
+            rows, ncols = tied_system(rng)
+            want = gauss_jordan_rref(rows, ncols)
+            assert rref([dict(r) for r in rows]) == want
+            log = []
+            assert rref([dict(r) for r in rows], log) == want
+            assert len(log) == len(want[1])
+            m = RationalMatrix(rows, ncols)
+            y_true = [Fraction(rng.choice(FRACTIONS)) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+            consistent = {
+                i: s for i, r in enumerate(rows) if (s := sum(v * y_true[j] for j, v in r.items()))
+            }
+            noise = {i: Fraction(rng.choice(FRACTIONS)) for i in range(len(rows)) if rng.random() < 0.5}
+            assert m.solve(consistent) == gauss_jordan_solve(rows, ncols, consistent)
+            assert m.solve(consistent) is not None
+            expected = gauss_jordan_solve(rows, ncols, noise)
+            assert m.solve(noise) == expected
+            shapes = [(min(r), len(r)) for r in rows if r]
+            seen["tie"] += len(set(shapes)) < len(shapes)
+            scaled = [frozenset((j, v / r[min(r)]) for j, v in r.items()) for r in rows if r]
+            seen["duplicate"] += len(set(scaled)) < len(scaled)
+            seen["zero_row"] += any(not r for r in rows)
+            seen["fraction"] += any(v.denominator > 1 for r in rows for v in r.values())
+            seen["inconsistent"] += expected is None
         assert min(seen.values()) >= 100, seen
 
 
