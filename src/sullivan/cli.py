@@ -188,11 +188,9 @@ def _cmd_elliptic_enumerate(args) -> int:
         for f in enumerate_candidates(args.dim):
             print(f)
         return 0
-    if args.audit_bound is not None and args.audit_bound <= args.dim:
-        raise CommandError(f"--audit-bound must exceed --dim {args.dim}")
     coeffs = _default_coeffs(args, (-1, 0, 1))
     undecided = []
-    for verdict in elliptic_verdicts(args.dim, coeffs, args.audit_bound):
+    for verdict in elliptic_verdicts(args.dim, coeffs):
         if verdict.status == "realized":
             print(verdict.f)
         else:
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="list every numerically feasible vector, skip the arithmetic"
                          " condition and the witness search")
     ee.add_argument("--coeffs", default=None)
-    ee.add_argument("--audit-bound", type=int, default=None)
     ee.set_defaults(handler=_cmd_elliptic_enumerate)
 
     fibration = sub.add_parser("fibration", help="exact-sequence rank solving")

@@ -14,12 +14,13 @@ only; the strong arithmetic condition of Friedlander and Halperin
 (`sac_violation`) decides which candidates are rank vectors of elliptic
 spaces.  `pure_witness` builds, for a vector meeting it, a pure model on
 its generators and certifies its cohomology finite (the sufficiency
-half of Friedlander-Halperin).  `realizable` searches instead for a
-minimal model with the right cohomology profile, by trying
-differentials with coefficients from a small set and auditing Betti
-numbers above the formal dimension.  `elliptic_verdicts` decides the
-candidates that meet the condition, and no others, by a pure witness,
-falling back to the search only when none is found.
+half of Friedlander-Halperin).  `realizable` decides whether a vector
+has an elliptic minimal model with coefficients from a small set: by
+SAC, then a pure witness, then a walk over every pure model in that
+coefficient box.  Each step is certified, so "realized" comes with a
+model of finite cohomology and "unrealizable" is a proof over the named
+box.  `elliptic_verdicts` applies it to the candidates that meet the
+condition, and no others.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from .algebra import (
     SullivanModel,
     coefficient_box,
     search_differentials,
-    validate_model,
 )
-from .cohomology import BettiTable, betti, betti_table
+from .cohomology import BettiTable, betti_table
 from .linalg import extend_echelon
 
 
@@ -245,14 +245,15 @@ def sac_violation(f: RankVector) -> tuple[int, ...] | None:
 
 @dataclass
 class RealizabilityVerdict:
-    """Result of the witness construction or search for one rank vector.
+    """Result of the decision for one rank vector over a coefficient box.
 
-    status is "realized" (model present), "unrealizable" (the whole
-    coefficient box was exhausted), or "inconclusive" (budget ran out
-    first).  `examined` counts complete differential assignments that
-    passed d*d = 0; it is 0 for a pure witness, which is built, not
-    searched.  `note` names the coefficient set and, for a pure witness,
-    the attempt that found it and the certified bound.
+    status is "realized" (model present: a pure model certified to have
+    finite cohomology), "unrealizable" (a proof that no minimal model in
+    the box is elliptic: f fails SAC, or no pure model in the box has
+    finite cohomology), or "inconclusive" (the budget ran out first).
+    `examined` counts the pure models the box walk built, 0 when SAC or a
+    pure witness decides.  `note` names the failing degrees or the
+    coefficient set and, for a pure witness, the attempt that found it.
     """
 
     status: str
@@ -278,15 +279,6 @@ def generators_for(f: RankVector) -> list[GeneratorSpec]:
         else:
             gens.extend(GeneratorSpec(f"g{d}_{j}", d) for j in range(1, c + 1))
     return gens
-
-
-def _betti_profile_ok(model: SullivanModel, n: int, audit_bound: int) -> bool:
-    # anything alive above the formal dimension disqualifies; check the
-    # cheap low degrees first, then demand the top class
-    for k in range(n + 1, audit_bound + 1):
-        if betti(model, k):
-            return False
-    return betti(model, n) > 0
 
 
 def _even_exponents(free: SullivanModel, k: int) -> list[tuple[int, ...]]:
@@ -319,6 +311,39 @@ def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict[
         yield {top[tuple(map(add, shift, vec))]: c for vec, c in q}
 
 
+def _pure_shape(f: RankVector):
+    """The free model on f's generators, its odd generators y in degree
+    order, per y the candidates for dy (the even-only monomials of length
+    at least 2 in degree |y|+1), and one ideal slice per even degree k in
+    (n, n+e], n the formal dimension and e the largest even generator
+    degree: the even monomials of degree k (exponent vector -> row), and
+    per y the m whose multiples m*dy land in degree k.
+
+    A pure model on f has finite cohomology iff Q[x]/(dy) is finite
+    (Halperin, Trans. AMS 230, 1977; Felix, Halperin and Thomas, GTM 205,
+    section 32), iff the ideal (dy) fills every slice.  If it does, it
+    fills every degree D > n+e, by induction on D: a monomial of degree D
+    is x*m, x a generator and m of degree D-|x| in (n, D).  Conversely
+    Q[x]/(dy) lies in the cohomology, which vanishes above n if finite.
+    """
+    n = formal_dimension(f)
+    free = SullivanModel.free(generators_for(f))
+    odds = [g for g in free.generators if g.is_odd]
+    e = max((g.degree for g in free.generators if not g.is_odd), default=0)
+    monomials = [
+        [
+            m for m in free.basis_of_degree(y.degree + 1)
+            if m.factor_count >= 2 and not any(free.is_odd(x) for x, _ in m.exps)
+        ]
+        for y in odds
+    ]
+    slices = []
+    for k in range(n + 2 - n % 2, n + e + 1, 2):
+        top = {vec: i for i, vec in enumerate(_even_exponents(free, k))}
+        slices.append((top, [_even_exponents(free, k - y.degree - 1) for y in odds]))
+    return free, odds, monomials, slices
+
+
 PURE_ATTEMPTS = 8
 
 
@@ -342,38 +367,15 @@ def pure_witness(
     generators y, dy a combination of the even-only monomials of length
     at least 2 in degree |y|+1, so d*d = 0 and the model is minimal.  The
     coefficients come from coeff_set, sorted, by `_lcg_coefficients`;
-    attempt a = 0, 1, ..., PURE_ATTEMPTS - 1 reseeds it.
-
-    Certificate: a pure model has finite cohomology iff Q[x]/(dy) is
-    finite (Halperin, Trans. AMS 230, 1977; Felix, Halperin and Thomas,
-    GTM 205, section 32).  Let e be the largest even generator degree and
-    n = formal_dimension(f).  If the ideal (dy) fills every even degree k
-    in (n, n+e], it fills every degree D > n+e too, by induction on D: a
-    monomial of degree D is x*m for some generator x, m has degree D-|x|
-    in (n, D), so m lies in the ideal, and so does x*m.  Then Q[x]/(dy)
-    lives in degrees <= n.  Each slice is checked by integer elimination
-    of the multiples m*dy (`_relation_columns`, `extend_echelon`).
+    attempt a = 0, 1, ..., PURE_ATTEMPTS - 1 reseeds it.  The certificate
+    is that the ideal (dy) fills every slice of `_pure_shape`, checked by
+    integer elimination of the multiples m*dy (`_relation_columns`,
+    `extend_echelon`).
     """
     if any(d < 2 for d in f.support):
         raise ValueError("a pure witness requires a simply connected rank vector")
-    n = formal_dimension(f)
     coeffs = tuple(sorted({Fraction(c) for c in coeff_set}))
-    free = SullivanModel.free(generators_for(f))
-    odds = [g for g in free.generators if g.is_odd]
-    e = max((g.degree for g in free.generators if not g.is_odd), default=0)
-    # per even degree k in (n, n+e]: the even monomials of degree k, and
-    # per odd y those m whose multiples m*dy land there
-    slices = []
-    for k in range(n + 2 - n % 2, n + e + 1, 2):
-        top = {vec: i for i, vec in enumerate(_even_exponents(free, k))}
-        slices.append((top, [_even_exponents(free, k - y.degree - 1) for y in odds]))
-    monomials = [
-        [
-            m for m in free.basis_of_degree(y.degree + 1)
-            if m.factor_count >= 2 and not any(free.is_odd(x) for x, _ in m.exps)
-        ]
-        for y in odds
-    ]
+    free, odds, monomials, slices = _pure_shape(f)
     for attempt in range(PURE_ATTEMPTS):
         values = [
             Element(free, dict(zip(mons, _lcg_coefficients(coeffs, attempt, j))))
@@ -392,156 +394,107 @@ def pure_witness(
     return None
 
 
-def realizable(
-    f: RankVector,
-    coeff_set: Sequence = (-1, 0, 1),
-    audit_bound: int | None = None,
-    max_models: int | None = None,
+def _walk_pure_models(
+    f: RankVector, coeffs: Sequence[Fraction], max_models: int | None = None
 ) -> RealizabilityVerdict:
-    """Search for a minimal model on f's generators with an elliptic profile.
+    """Walk the pure models on f with coefficients in coeffs (ascending),
+    building at most max_models, until one has finite cohomology.
 
-    Differentials are built in ascending generator degree; each candidate
-    value is a combination of decomposable monomials of the right degree
-    with coefficients from coeff_set, tried in ascending order whatever
-    order the set is given in.  d*d = 0 prunes as soon as it can,
-    and so does a rank bound on the ideal the polynomial part must
-    swallow: with the even generators closed, cohomology in an even
-    degree just above n contains the cokernel of the relation ideal
-    there, so branches that cannot reach full rank are dead.  Each search
-    depth keeps the echelon form of that ideal slice; a node only reduces
-    the multiples of its own relation (the pure-even part of an odd
-    generator's value) into its parent's echelon, in integer arithmetic
-    (`linalg.extend_echelon`), and the prune and the leaf's cheap check
-    read the rank off it.  A complete model passes when its Betti numbers
-    vanish strictly above n = formal_dimension(f) up to audit_bound
-    (default 2n+2, otherwise it must exceed n) and the degree-n
-    cohomology is nonzero.
+    `search_differentials` assigns dy to the odd generators y in degree
+    order, nondecreasing within a degree, as those are interchangeable.
+    Each depth keeps one echelon per slice of `_pure_shape`, its parent's
+    extended by the multiples m*dy of its own y, and prunes once, in some
+    slice, the rank plus what the deeper y can add falls short.  So a leaf
+    fills every slice, and its model is certified.
     """
-    if any(d < 2 for d in f.support):
-        raise ValueError("search requires a simply connected rank vector")
-    n = formal_dimension(f)
-    if audit_bound is not None and audit_bound <= n:
-        raise ValueError(f"audit bound {audit_bound} must exceed the formal dimension {n}")
-    if n < 1:
-        return RealizabilityVerdict("unrealizable", f, note="formal dimension < 1")
-    bound = audit_bound if audit_bound is not None else 2 * n + 2
-    coeffs = tuple(sorted({Fraction(c) for c in coeff_set}))
-    coeff_text = sorted(map(str, coeffs))
-    free = SullivanModel.free(generators_for(f))
-    order = sorted(free.generators, key=lambda g: g.degree)
-    cands = {
-        d: [m for m in free.basis_of_degree(d + 1) if m.factor_count >= 2]
-        for d in sorted({g.degree for g in order})
-    }
-
-    kstar = n + 1 if (n + 1) % 2 == 0 else n + 2
-    top = {vec: i for i, vec in enumerate(_even_exponents(free, kstar))}
-    dim_even_top = len(top)
-    evens_forced_closed = all(not cands[g.degree] for g in order if not g.is_odd)
-    # the even monomials m whose multiples m*q of an odd generator's
-    # relation q span that relation's part of the ideal in degree kstar
-    shifts = {
-        g.degree: _even_exponents(free, kstar - g.degree - 1) for g in order if g.is_odd
-    }
-    # reach[i]: the most the odd generators at depths > i can add to the
-    # ideal rank in degree kstar
-    reach = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        reach[i] = reach[i + 1] + (len(shifts[order[i].degree]) if order[i].is_odd else 0)
-    # echelons[i]: the ideal slice in degree kstar spanned by the pure-even
-    # parts of the odd values at depths 1..i of the current path
-    echelons: list[dict] = [{}] * (len(order) + 1)
+    free, odds, monomials, slices = _pure_shape(f)
+    box = f"coefficients from {sorted(map(str, coeffs))}"
+    # reaches[s][i]: the most the odd generators at depths > i can add to
+    # the ideal rank in slice s
+    reaches = [
+        [sum(map(len, shifts[i:])) for i in range(len(odds) + 1)] for _, shifts in slices
+    ]
+    # echelons[i][s]: slice s of the ideal of dy over the first i odds
+    echelons: list[list[dict]] = [[{} for _ in slices]] * (len(odds) + 1)
     examined = 0
 
     def options(path):
+        nonlocal examined
         i = len(path)
-        # same-degree generators are interchangeable: enumerate their
-        # choices in nondecreasing order to skip permuted copies
-        same = i > 0 and order[i - 1].degree == order[i].degree
-        return coefficient_box(free, cands[order[i].degree], coeffs, path[-1][0] if same else 0)
+        same = i > 0 and odds[i - 1].degree == odds[i].degree
+        for option in coefficient_box(free, monomials[i], coeffs, path[-1][0] if same else 0):
+            if examined == max_models:
+                return
+            examined += 1
+            yield option
 
     def node(path, model) -> bool:
         depth = len(path)
-        if not depth or not dim_even_top:
-            return True
-        g, value = order[depth - 1], path[-1][1]
-        echelon = echelons[depth - 1]
-        if g.is_odd and value:
-            columns = _relation_columns(free, top, value, shifts[g.degree])
-            echelon = extend_echelon(echelon, columns, dim_even_top)
-        echelons[depth] = echelon
-        return not evens_forced_closed or len(echelon) + reach[depth] >= dim_even_top
-
-    def leaf(path, model) -> RealizabilityVerdict | None:
-        nonlocal examined
-        examined += 1
-        if max_models is not None and examined > max_models:
-            return RealizabilityVerdict(
-                "inconclusive",
-                f,
-                examined=examined,
-                note=f"budget of {max_models} complete models exhausted",
-            )
-        if len(echelons[-1]) < dim_even_top:
-            # cheap necessary check before the full Betti audit, sound
-            # whatever the evens' differentials: the associated pure model
-            # (dx = 0, dy = the pure-even part of dy) of an elliptic model
-            # is elliptic of the same formal dimension n (FHT GTM 205,
-            # section 32), and its H_0 = Q[x]/(pure-even parts of the dy)
-            # lies inside its cohomology, so it vanishes in degree kstar > n
-            return None
-        if not _betti_profile_ok(model, n, bound):
-            return None
-        rep = validate_model(model)
-        assert rep.ok, rep.summary()
-        return RealizabilityVerdict(
-            "realized",
-            f,
-            model=model,
-            examined=examined,
-            note=f"coefficients from {coeff_text}",
+        if depth:
+            value = path[-1][1]
+            echelons[depth] = [
+                extend_echelon(
+                    echelon, _relation_columns(free, top, value, shifts[depth - 1]), len(top)
+                )
+                for echelon, (top, shifts) in zip(echelons[depth - 1], slices)
+            ]
+        return all(
+            len(echelon) + reach[depth] >= len(top)
+            for echelon, (top, _), reach in zip(echelons[depth], slices, reaches)
         )
 
-    verdict, _ = search_differentials(free, order, options, node, leaf)
+    def leaf(path, model) -> RealizabilityVerdict:
+        note = f"pure model with {box}, Q[x]/(dy) zero above degree {formal_dimension(f)}"
+        return RealizabilityVerdict("realized", f, model, examined, note)
+
+    verdict, _ = search_differentials(free, odds, options, node, leaf)
     if verdict is not None:
         return verdict
-    return RealizabilityVerdict(
-        "unrealizable",
-        f,
-        examined=examined,
-        note=f"no model with coefficients from {coeff_text}"
-        f" has the elliptic profile through degree {bound}",
-    )
+    if examined == max_models:
+        note = f"budget of {max_models} pure models exhausted"
+        return RealizabilityVerdict("inconclusive", f, None, examined, note)
+    note = f"no pure model with {box} has finite cohomology"
+    return RealizabilityVerdict("unrealizable", f, None, examined, note)
 
 
-def elliptic_verdicts(
-    n: int,
+def realizable(
+    f: RankVector,
     coeff_set: Sequence = (-1, 0, 1),
-    audit_bound: int | None = None,
-) -> Iterator[RealizabilityVerdict]:
-    """Witness verdicts, in canonical order, for the candidates of formal
-    dimension n that meet SAC, i.e. the rank vectors of elliptic spaces of
-    dimension n.  Candidates failing SAC get no verdict.  Each of the
-    others gets its `pure_witness` when there is one, a "realized"
-    verdict that is a finiteness proof; otherwise `realizable` searches
-    the coefficient box, with audit_bound.  A verdict other than
-    "realized" means that no witness was found with coefficients from
-    coeff_set, not that f is not elliptic."""
-    if audit_bound is not None and audit_bound <= n:
-        raise ValueError(f"audit bound {audit_bound} must exceed the formal dimension {n}")
-    coeff_text = sorted({str(Fraction(c)) for c in coeff_set})
+    max_models: int | None = None,
+) -> RealizabilityVerdict:
+    """Decide whether f has an elliptic minimal model with coefficients
+    from coeff_set, read in ascending order whatever order it is given in.
+
+    A vector failing SAC (`sac_violation`) is "unrealizable", as SAC is
+    necessary.  Otherwise the `pure_witness` attempts come first, then
+    `_walk_pure_models` over the whole box, which decides it both ways:
+    the associated pure model (dx = 0, dy the pure-even part of dy) of an
+    elliptic minimal model in the box is elliptic and in the box too (FHT
+    GTM 205, section 32).  So "unrealizable" is a proof over the named
+    box, and "inconclusive" means the walk reached max_models first.
+    """
+    if any(d < 2 for d in f.support):
+        raise ValueError("realizability requires a simply connected rank vector")
+    failing = sac_violation(f)
+    if failing is not None:
+        note = f"fails the arithmetic condition on even degrees {failing}"
+        return RealizabilityVerdict("unrealizable", f, note=note)
+    coeffs = tuple(sorted({Fraction(c) for c in coeff_set}))
+    found = pure_witness(f, coeffs)
+    if found is None:
+        return _walk_pure_models(f, coeffs, max_models)
+    model, attempt = found
+    note = (
+        f"pure witness (attempt {attempt}) with coefficients from {sorted(map(str, coeffs))},"
+        f" Q[x]/(dy) zero above degree {formal_dimension(f)}"
+    )
+    return RealizabilityVerdict("realized", f, model, note=note)
+
+
+def elliptic_verdicts(n: int, coeff_set: Sequence = (-1, 0, 1)) -> Iterator[RealizabilityVerdict]:
+    """`realizable` verdicts, in canonical order, for the candidates of
+    formal dimension n that meet SAC, i.e. the rank vectors of elliptic
+    spaces of dimension n.  Candidates failing SAC get no verdict."""
     for f in enumerate_candidates(n):
-        if sac_violation(f) is not None:
-            continue
-        found = pure_witness(f, coeff_set)
-        if found is None:
-            yield realizable(f, coeff_set=coeff_set, audit_bound=audit_bound)
-            continue
-        model, attempt = found
-        yield RealizabilityVerdict(
-            "realized",
-            f,
-            model=model,
-            note=f"pure witness (attempt {attempt}) with coefficients from {coeff_text},"
-            f" Q[x]/(dy) zero above degree {n}",
-        )
+        if sac_violation(f) is None:
+            yield realizable(f, coeff_set)

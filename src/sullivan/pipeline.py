@@ -748,8 +748,8 @@ _TARGET_ALIASES = {
 def realized_rank_vectors(n: int) -> list[RankVector]:
     """Rank vectors of elliptic spaces of dimension n, in canonical order,
     that `elliptic_verdicts` realizes, by a certified pure witness or else
-    the box search; the candidates failing the arithmetic condition get
-    no verdict."""
+    the walk over the pure models in the box; the candidates failing the
+    arithmetic condition get no verdict."""
     return [v.f for v in elliptic_verdicts(n) if v.status == "realized"]
 
 

@@ -10,9 +10,10 @@ from sullivan.cohomology import betti, betti_table
 from sullivan.ellipticity import (
     PURE_ATTEMPTS,
     RankVector,
-    _betti_profile_ok,
     _even_exponents,
+    _pure_shape,
     _relation_columns,
+    _walk_pure_models,
     canonical_sorted,
     elliptic_verdicts,
     enumerate_candidates,
@@ -64,6 +65,28 @@ REALIZED = {
     6: ["6:1,11:1", "3:2", "2:1,7:1", "2:1,3:1,4:1,7:1", "2:2,3:1,5:1", "2:3,3:3"],
     7: ["7:1", "3:1,4:1,7:1", "2:1,3:1,5:1", "2:2,3:3"],
 }
+
+
+def assert_elliptic_profile(model, n, top):
+    """No cohomology in (n, top] and a single top class in degree n."""
+    table = betti_table(model, top)
+    assert table[n] == 1, (model, n)
+    assert not any(table[k] for k in range(n + 1, top + 1)), (model, n, top)
+
+
+def assert_certified_pure(model, f):
+    """Checks of a realized pure model that share nothing with the walk:
+    a valid minimal model on f, dx = 0 on the evens, each dy even-only,
+    and Betti numbers vanishing on (n, n+e] with betti[n] == 1."""
+    assert validate_model(model).ok, f
+    assert rank_vector_of_model(model) == f
+    for g in model.generators:
+        dg = model.d_of_generator(g.name)
+        assert not dg or g.is_odd
+        assert all(not any(model.is_odd(x) for x, _ in m.exps) for m in dg.terms)
+    n = formal_dimension(f)
+    e = max((d for d in f.support if d % 2 == 0), default=0)
+    assert_elliptic_profile(model, n, n + e)
 
 
 class TestRankVector:
@@ -219,13 +242,15 @@ class TestArithmeticCondition:
                 assert (sac_violation(f) is None) == (v.status == "realized"), (f, v.status)
 
     def test_dim_8(self):
-        """13 of the 30 dim-8 candidates meet the condition; within its
-        budget the search realizes none of the other 17."""
+        """13 of the 30 dim-8 candidates meet the condition; each of the
+        other 17 is unrealizable, with a note naming its failing degrees."""
         candidates = enumerate_candidates(8)
         failing = [f for f in candidates if sac_violation(f) is not None]
         assert (len(candidates), len(failing)) == (30, 17)
         for f in failing:
-            assert realizable(f, max_models=50).status != "realized", f
+            v = realizable(f)
+            assert (v.status, v.examined, v.model) == ("unrealizable", 0, None), f
+            assert v.note == f"fails the arithmetic condition on even degrees {sac_violation(f)}"
 
     def test_verdicts_skip_failing_candidates(self):
         # {3:1, 4:1, 5:1} is never searched
@@ -254,31 +279,41 @@ class TestRealizability:
         assert all(betti(v.model, k) == 0 for k in range(n + 1, 2 * n + 3))
 
     def test_unrealizable_notes_coefficients(self):
-        v = realizable(RankVector.parse("3:1,4:1,5:1"))
-        assert v.status == "unrealizable"
-        assert "coefficients" in v.note
+        # SAC holds, but the zero box has no pure model with finite cohomology
+        v = realizable(RankVector.parse("2:1,3:1"), coeff_set=(0,))
+        assert (v.status, v.examined) == ("unrealizable", 1)
+        assert v.note == "no pure model with coefficients from ['0'] has finite cohomology"
 
     def test_budget_inconclusive(self):
-        v = realizable(RankVector.parse("2:1,3:1"), max_models=0)
-        assert v.status == "inconclusive"
+        v = realizable(RankVector.parse("2:1,3:1"), coeff_set=(0,), max_models=0)
+        assert (v.status, v.examined) == ("inconclusive", 0)
         assert "budget" in v.note
+        # the (0, 1) walk on {2:3, 3:3} builds 392 pure models, the last realized
+        f = RankVector.parse("2:3,3:3")
+        short = realizable(f, coeff_set=(0, 1), max_models=391)
+        assert (short.status, short.examined, short.model) == ("inconclusive", 391, None)
+        enough = realizable(f, coeff_set=(0, 1), max_models=392)
+        assert (enough.status, enough.examined) == ("realized", 392)
 
     def test_repeated_coefficients_dropped(self):
-        f = RankVector.parse("3:2,5:1,6:1")
-        plain = realizable(f, coeff_set=(-1, 0, 1))
-        repeated = realizable(f, coeff_set=(-1, 0, 1, 1, 0))
-        assert (repeated.status, repeated.examined) == (plain.status, plain.examined) == ("unrealizable", 3)
+        f = RankVector.parse("2:3,3:3")
+        plain = realizable(f, coeff_set=(0, 1))
+        repeated = realizable(f, coeff_set=(0, 1, 1, 0))
+        assert (repeated.status, repeated.examined, repeated.model) == (
+            plain.status, plain.examined, plain.model
+        )
+        assert (plain.status, plain.examined) == ("realized", 392)
 
     @pytest.mark.parametrize(
         "given, ascending",
-        [((0, 1, -1), (-1, 0, 1)), ((0, Fraction(1, 2), -3), (-3, 0, Fraction(1, 2)))],
+        [((1, 0), (0, 1)), ((0, Fraction(1, 2), -3), (-3, 0, Fraction(1, 2)))],
     )
     def test_coefficient_order_ignored(self, given, ascending):
         f = RankVector.parse("2:3,3:3")
         a = realizable(f, coeff_set=given)
         b = realizable(f, coeff_set=ascending)
-        assert (a.status, a.examined, a.model) == (b.status, b.examined, b.model)
-        assert (a.status, a.examined) == ("realized", 1)
+        assert (a.status, a.examined, a.model, a.note) == (b.status, b.examined, b.model, b.note)
+        assert a.status == "realized"
 
     def test_rejects_degree_one(self):
         with pytest.raises(ValueError):
@@ -294,91 +329,46 @@ class TestRealizability:
         assert v.status == "realized"
         assert v.model.diff == ()
 
-    def test_audit_bound_must_exceed_formal_dimension(self):
-        f = RankVector.parse("3:1,4:1,5:1")
-        for bound in (1, formal_dimension(f)):
-            with pytest.raises(ValueError):
-                realizable(f, audit_bound=bound)
+    def test_point_realized_by_empty_model(self):
+        # the point is elliptic of formal dimension 0, so no box proves it
+        # unrealizable
+        v = realizable(RankVector(()))
+        assert (v.status, v.model.generators, v.betti.values) == ("realized", (), (1,))
 
-    def test_search_order_pinned(self):
-        """Verdict and number of complete models examined for every
-        candidate in dims 2..7: a change to the search order or its
-        prunes shows up here even when the survivors stay the same."""
-        got = {
-            f.to_string(): (v.status, v.examined)
-            for n in range(2, 8)
-            for f in enumerate_candidates(n)
-            for v in [realizable(f)]
-        }
-        r, u = "realized", "unrealizable"
-        assert got == {
-            "2:1,3:1": (r, 1),
-            "3:1": (r, 1),
-            "4:1,7:1": (r, 1),
-            "2:1,5:1": (r, 1),
-            "2:2,3:2": (r, 1),
-            "5:1": (r, 1),
-            "3:1,4:1,5:1": (u, 1),
-            "2:1,3:2": (r, 1),
-            "6:1,11:1": (r, 1),
-            "4:1,9:1": (u, 0),
-            "3:2": (r, 1),
-            "3:2,5:1,6:1": (u, 3),
-            "3:3,4:1": (u, 0),
-            "2:1,7:1": (r, 1),
-            "2:1,4:1,5:2": (u, 0),
-            "2:1,3:1,4:1,7:1": (r, 1),
-            "2:2,3:1,5:1": (r, 1),
-            "2:3,3:3": (r, 1),
-            "7:1": (r, 1),
-            "5:1,6:1,7:1": (u, 1),
-            "4:1,5:2": (u, 0),
-            "3:1,6:1,9:1": (u, 1),
-            "3:1,4:1,7:1": (r, 1),
-            "3:4,6:1": (u, 1),
-            "2:1,3:1,5:1": (r, 1),
-            "2:1,3:2,4:1,5:1": (u, 234),
-            "2:2,3:3": (r, 1),
-        }
+    @pytest.mark.parametrize("coeffs", [(-1, 0, 1), (0, 1), (-1, 0, 1, 2)])
+    def test_walk_agrees_with_sac(self, coeffs):
+        """The walk alone, without SAC or the pure-witness attempts,
+        realizes exactly the candidates of dims 2..7 meeting SAC, and each
+        model it returns passes the independent checks."""
+        box = tuple(map(Fraction, coeffs))
+        for n in range(2, 8):
+            for f in enumerate_candidates(n):
+                v = _walk_pure_models(f, box)
+                assert (v.status == "realized") == (sac_violation(f) is None), (f, v.status)
+                assert v.status in ("realized", "unrealizable")
+                if v.model is not None:
+                    assert_certified_pure(v.model, f)
 
-    @pytest.mark.parametrize(
-        "n, coeffs, want",
-        [
-            (7, (-1, 0, 1, 2), {
-                "7:1": ("realized", 1),
-                "5:1,6:1,7:1": ("unrealizable", 1),
-                "4:1,5:2": ("unrealizable", 0),
-                "3:1,6:1,9:1": ("unrealizable", 1),
-                "3:1,4:1,7:1": ("realized", 1),
-                "3:4,6:1": ("unrealizable", 1),
-                "2:1,3:1,5:1": ("realized", 1),
-                "2:1,3:2,4:1,5:1": ("unrealizable", 692),
-                "2:2,3:3": ("realized", 1),
-            }),
-            (6, (-2, -1, 0, 1, 2), {
-                "6:1,11:1": ("realized", 1),
-                "4:1,9:1": ("unrealizable", 0),
-                "3:2": ("realized", 1),
-                "3:2,5:1,6:1": ("unrealizable", 5),
-                "3:3,4:1": ("unrealizable", 0),
-                "2:1,7:1": ("realized", 1),
-                "2:1,4:1,5:2": ("unrealizable", 0),
-                "2:1,3:1,4:1,7:1": ("realized", 1),
-                "2:2,3:1,5:1": ("realized", 1),
-                "2:3,3:3": ("realized", 1),
-            }),
-        ],
-    )
-    def test_wide_box_search_pinned(self, n, coeffs, want):
-        """(status, examined) of every candidate under the wider boxes of
-        `elliptic enumerate --dim 7 --coeffs=-1,0,1,2` and `--dim 6
-        --coeffs=-2,-1,0,1,2`, where the ideal-rank prune does most work."""
-        got = {
-            f.to_string(): (v.status, v.examined)
-            for f in enumerate_candidates(n)
-            for v in [realizable(f, coeff_set=coeffs)]
-        }
-        assert got == want
+    @pytest.mark.parametrize("text", ["2:3,3:3", "2:1,4:1,5:1,7:1", "2:2,5:2", "2:3,3:2,5:1"])
+    def test_zero_one_fallback_realized(self, text):
+        """The SAC vectors of dims 2..9 with no pure witness under (0, 1)
+        are realized by the walk, as the box search realized them."""
+        f = RankVector.parse(text)
+        assert pure_witness(f, (0, 1)) is None
+        v = realizable(f, coeff_set=(0, 1))
+        assert v.status == "realized" and v.examined > 0
+        assert_certified_pure(v.model, f)
+
+    def test_zero_box_unrealizable(self):
+        """In the zero box no SAC vector of dims 2..9 has a pure witness, and
+        the walk proves each unrealizable, as the box search found none."""
+        decided = 0
+        for n in range(2, 10):
+            for f in enumerate_candidates(n):
+                if sac_violation(f) is None and pure_witness(f, (0,)) is None:
+                    assert realizable(f, coeff_set=(0,)).status == "unrealizable", f
+                    decided += 1
+        assert decided == 32
 
 
 class TestPureWitness:
@@ -405,13 +395,8 @@ class TestPureWitness:
                 if sac_violation(f) is not None:
                     continue
                 model, _ = pure_witness(f, coeffs)
-                assert validate_model(model).ok, f
-                assert rank_vector_of_model(model) == f
-                assert _betti_profile_ok(model, n, 2 * n + 2), f
-                for g in model.generators:
-                    dg = model.d_of_generator(g.name)
-                    assert not dg or g.is_odd
-                    assert all(not any(model.is_odd(x) for x, _ in m.exps) for m in dg.terms)
+                assert_certified_pure(model, f)
+                assert_elliptic_profile(model, n, 2 * n + 2)
 
     def test_dim_8_witnesses_profile(self):
         """The 13 dim-8 witnesses have no cohomology in (8, 8+e], e the
@@ -421,7 +406,7 @@ class TestPureWitness:
             if sac_violation(f) is None:
                 model, _ = pure_witness(f)
                 e = max((d for d in f.support if d % 2 == 0), default=0)
-                assert _betti_profile_ok(model, 8, 8 + e), f
+                assert_elliptic_profile(model, 8, 8 + e)
                 found += 1
         assert found == 13
 
@@ -439,6 +424,22 @@ class TestPureWitness:
         with pytest.raises(ValueError):
             pure_witness(RankVector.parse("1:1,2:1"))
 
+    def test_slices_are_the_even_degrees_above_n(self):
+        """One slice per even degree k in (n, n+e], each as wide as the
+        even monomials of degree k; a window starting higher is also a
+        sound certificate, only larger, so no verdict would show it."""
+        for n in range(2, 8):
+            for f in enumerate_candidates(n):
+                free, odds, _, slices = _pure_shape(f)
+                e = max((d for d in f.support if d % 2 == 0), default=0)
+                want = [
+                    sum(not any(free.is_odd(x) for x, _ in m.exps) for m in free.basis_of_degree(k))
+                    for k in range(n + 1, n + e + 1)
+                    if k % 2 == 0
+                ]
+                assert [len(top) for top, _ in slices] == want, f
+                assert all(len(shifts) == len(odds) for _, shifts in slices)
+
 
 class TestVerdicts:
     def test_pure_verdict_contract(self):
@@ -450,16 +451,12 @@ class TestVerdicts:
 
     def test_falls_back_to_search(self):
         # no pure witness exists in the zero box once there is an even
-        # generator, so the box search decides, as realizable alone would
+        # generator, so the walk decides, as realizable alone would
         got = list(elliptic_verdicts(2, coeff_set=(0,)))
         want = realizable(RankVector.parse("2:1,3:1"), coeff_set=(0,))
         assert [(v.f, v.status, v.examined, v.note) for v in got] == [
             (want.f, "unrealizable", want.examined, want.note)
         ]
-
-    def test_audit_bound_must_exceed_formal_dimension(self):
-        with pytest.raises(ValueError):
-            next(elliptic_verdicts(5, audit_bound=5))
 
 
 class TestRelationColumns:
