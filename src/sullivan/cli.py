@@ -9,10 +9,6 @@ stderr.
 Exit codes: 0 on success, 1 when a requested check finds a mathematical
 failure (invalid model, undecided enumeration, fully obstructed
 analysis, fixture drift), 2 on usage or parse errors.
-
-Environment: SULLIVAN_COEFFS overrides the default differential
-coefficient set (e.g. "-1,0,1"); SULLIVAN_MAX_DEGREE supplies a default
-for --max-degree where it is optional.
 """
 
 from __future__ import annotations
@@ -45,9 +41,6 @@ from .pipeline import (
     reproduce,
 )
 
-ENV_COEFFS = "SULLIVAN_COEFFS"
-ENV_MAX_DEGREE = "SULLIVAN_MAX_DEGREE"
-
 
 class CommandError(Exception):
     """Bad input discovered after argument parsing; maps to exit 2."""
@@ -63,17 +56,8 @@ def _coeffs_from(text: str) -> tuple[Fraction, ...]:
     return parts
 
 
-def _default_coeffs(args, fallback: tuple) -> tuple:
-    if getattr(args, "coeffs", None):
-        return _coeffs_from(args.coeffs)
-    env = os.environ.get(ENV_COEFFS)
-    if env:
-        return _coeffs_from(env)
-    return fallback
-
-
 def _degree(text: str) -> int:
-    """A nonnegative degree, for --max-degree and SULLIVAN_MAX_DEGREE."""
+    """A nonnegative degree, for --max-degree."""
     try:
         value = int(text)
     except ValueError:
@@ -81,19 +65,6 @@ def _degree(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
-
-
-def _max_degree(args) -> int | None:
-    """--max-degree, else SULLIVAN_MAX_DEGREE, else None."""
-    if args.max_degree is not None:
-        return args.max_degree
-    env = os.environ.get(ENV_MAX_DEGREE)
-    if not env:
-        return None
-    try:
-        return _degree(env)
-    except argparse.ArgumentTypeError as exc:
-        raise CommandError(f"bad {ENV_MAX_DEGREE}={env!r}: {exc}")
 
 
 def _read_model(path: str):
@@ -144,7 +115,6 @@ def _total_entry(spec: str) -> SpaceCatalogEntry:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_model_check(args) -> int:
-    top = _max_degree(args)
     doc = _read_model(args.file)
     report = validate_model(doc.model, require_minimal=args.require_minimal)
     for note in doc.notes:
@@ -160,8 +130,8 @@ def _cmd_model_check(args) -> int:
         return 1
     gens = len(doc.model.generators)
     print(f"{doc.name}: ok ({gens} generators)")
-    if top is not None:
-        table = betti_table(doc.model, top)
+    if args.max_degree is not None:
+        table = betti_table(doc.model, args.max_degree)
         print("betti: " + " ".join(str(b) for b in table.values))
     return 0
 
@@ -172,12 +142,9 @@ def _cmd_model_cohomology(args) -> int:
     if not report.ok:
         print(f"error: {doc.name}: {report.summary()}", file=sys.stderr)
         return 1
-    top = _max_degree(args)
-    if top is None:
-        raise CommandError("--max-degree is required (or set " + ENV_MAX_DEGREE + ")")
-    table = betti_table(doc.model, top)
+    table = betti_table(doc.model, args.max_degree)
     if args.format == "tree":
-        print(json.dumps({"name": doc.name, "max_degree": top, "betti": list(table.values)}, indent=2))
+        print(json.dumps({"name": doc.name, "max_degree": args.max_degree, "betti": list(table.values)}, indent=2))
     else:
         print(" ".join(str(b) for b in table.values))
     return 0
@@ -188,7 +155,7 @@ def _cmd_elliptic_enumerate(args) -> int:
         for f in enumerate_candidates(args.dim):
             print(f)
         return 0
-    coeffs = _default_coeffs(args, (-1, 0, 1))
+    coeffs = _coeffs_from(args.coeffs) if args.coeffs else (-1, 0, 1)
     undecided = []
     for verdict in elliptic_verdicts(args.dim, coeffs):
         if verdict.status == "realized":
@@ -253,7 +220,7 @@ def _cmd_check_submersion(args) -> int:
         raise CommandError(
             f"--max-base-dim must lie in [2, {total.dim - 1}] for {total.name}"
         )
-    coeffs = _default_coeffs(args, (0, 1))
+    coeffs = _coeffs_from(args.coeffs) if args.coeffs else (0, 1)
     if 0 not in coeffs:
         raise CommandError("the coefficient set of check submersion must contain 0")
     report = analyze(total, args.max_base_dim, coeff_set=coeffs)
@@ -287,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(handler=_cmd_model_check)
     mh = model_sub.add_parser("cohomology", help="Betti numbers of a model file")
     mh.add_argument("file")
-    mh.add_argument("--max-degree", type=_degree, default=None)
+    mh.add_argument("--max-degree", type=_degree, required=True)
     mh.add_argument("--format", choices=("text", "tree"), default="text")
     mh.set_defaults(handler=_cmd_model_cohomology)
 

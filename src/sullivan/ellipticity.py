@@ -271,13 +271,19 @@ class RealizabilityVerdict:
         return betti_table(self.model, formal_dimension(self.f))
 
 
-def generators_for(f: RankVector) -> list[GeneratorSpec]:
+def generators_for(
+    f: RankVector, prefix: str = "g", origin: str = "plain"
+) -> list[GeneratorSpec]:
+    """Generators for f in degree order: prefix+d for a lone generator of
+    degree d, prefix+d_j (j from 1) when there are several."""
     gens = []
     for d, c in f.counts:
         if c == 1:
-            gens.append(GeneratorSpec(f"g{d}", d))
+            gens.append(GeneratorSpec(f"{prefix}{d}", d, origin))
         else:
-            gens.extend(GeneratorSpec(f"g{d}_{j}", d) for j in range(1, c + 1))
+            gens.extend(
+                GeneratorSpec(f"{prefix}{d}_{j}", d, origin) for j in range(1, c + 1)
+            )
     return gens
 
 

@@ -37,7 +37,6 @@ from .algebra import (
     SullivanModel,
     coefficient_box,
     search_differentials,
-    validate_model,
 )
 from .cohomology import (
     BettiTable,
@@ -50,6 +49,7 @@ from .ellipticity import (
     RankVector,
     elliptic_verdicts,
     formal_dimension,
+    generators_for,
     rank_vector_of_model,
 )
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
@@ -323,19 +323,6 @@ def check_dimension_formula(
     )
 
 
-def _fiber_generator_specs(fiber_ranks: RankVector) -> list[GeneratorSpec]:
-    out = []
-    for d in fiber_ranks.support:
-        count = fiber_ranks.get(d)
-        if count == 1:
-            out.append(GeneratorSpec(f"z{d}", d, "fiber"))
-        else:
-            out.extend(
-                GeneratorSpec(f"z{d}_{j}", d, "fiber") for j in range(1, count + 1)
-            )
-    return out
-
-
 def check_wang_bound(
     sphere_dim: int,
     total_betti: BettiTable,
@@ -344,7 +331,7 @@ def check_wang_bound(
 ) -> KillCertificate | None:
     """Betti profiles of the fiber must fit both the Wang sequence over the
     sphere and the monomial-count bounds b_k <= dim Lambda^k(V_F)."""
-    free = SullivanModel.free(_fiber_generator_specs(fiber_ranks))
+    free = SullivanModel.free(generators_for(fiber_ranks, "z", "fiber"))
     caps = {k: free.dimension_of_degree(k) for k in range(fiber_dim + 1)}
     known = {1: fiber_ranks.get(1)}
     capped = wang_fiber_betti(
@@ -384,7 +371,7 @@ def check_wang_bound(
 def _relative_skeleton(
     base: SullivanModel, fiber_ranks: RankVector
 ) -> tuple[SullivanModel, list[GeneratorSpec]]:
-    fiber_gens = _fiber_generator_specs(fiber_ranks)
+    fiber_gens = generators_for(fiber_ranks, "z", "fiber")
     taken = set(base.generator_names)
     for g in fiber_gens:
         if g.name in taken:
@@ -472,23 +459,22 @@ def check_relative_cohomology(
     fiber_ranks: RankVector,
     target: BettiTable,
     coeff_set: Sequence = (0, 1),
-    bound: int | None = None,
 ) -> RelativeWitness | KillCertificate:
-    """Search all relative differentials for one whose cohomology matches
-    target through the bound; certify the kill when none does.
+    """Search all relative differentials over base, a valid model, for
+    one whose cohomology matches target through the bound (two degrees
+    past the table's top, where target reads 0); certify the kill when
+    none does.
 
     Branches are pruned at their first Betti mismatch, checking degrees as
     soon as every generator that can contribute is assigned.  The
     certificate records each pruned branch and a full mismatch scan of the
     deepest branch completed with zero differentials.
     """
-    if bound is None:
-        bound = len(target.values) + 1
+    bound = len(target.values) + 1
     skeleton, fiber_gens = _relative_skeleton(base, fiber_ranks)
     coeffs = _coeff_tuple(coeff_set)
     candidates = {g.name: _candidate_monomials(skeleton, g) for g in fiber_gens}
     branches: list[dict] = []
-    invalid = 0
 
     def assignment_data(path) -> dict:
         return {g.name: element_terms_data(v) for g, (_, v) in zip(fiber_gens, path)}
@@ -520,17 +506,14 @@ def check_relative_cohomology(
                 return False
         return True
 
-    def leaf(path, model) -> RelativeWitness | None:
-        nonlocal invalid
-        if validate_model(model, require_minimal=False).ok:
-            return RelativeWitness(
-                model, tuple((g.name, v) for g, (_, v) in zip(fiber_gens, path))
-            )
-        invalid += 1
-        return None
+    def leaf(path, model) -> RelativeWitness:
+        # every value passed the search's d*d check and has the right
+        # degree by construction, so a leaf is a valid model
+        return RelativeWitness(
+            model, tuple((g.name, v) for g, (_, v) in zip(fiber_gens, path))
+        )
 
     witness, dropped = search_differentials(skeleton, fiber_gens, options, node, leaf)
-    invalid += dropped
     if witness is not None:
         return witness
 
@@ -571,7 +554,7 @@ def check_relative_cohomology(
             g.name: [m.format() for m in candidates[g.name]] for g in fiber_gens
         },
         "branches": branches,
-        "rejected_invalid": invalid,
+        "rejected_invalid": dropped,
         "scan": {"assignment": scan_assignment, "rows": scan_rows},
     }
     return KillCertificate("relative-model-cohomology", detail)
@@ -657,15 +640,12 @@ def analyze(
     total: SpaceCatalogEntry | str,
     max_base_dim: int,
     coeff_set: Sequence = (0, 1),
-    bound: int | None = None,
 ) -> ObstructionReport:
     """Sweep every catalog base up to the dimension cap and judge every
     fiber case the homotopy sequence allows."""
     entry = find_entry(total) if isinstance(total, str) else total
     if not (2 <= max_base_dim < entry.dim):
         raise ValueError("need 2 <= max_base_dim < dim(total)")
-    if bound is None:
-        bound = entry.dim + 2
     bases = sorted(
         (e for e in catalog() if e.table_row and e.dim <= max_base_dim),
         key=lambda e: (e.dim, e.rank_vector.padded(e.dim)),
@@ -684,7 +664,7 @@ def analyze(
             if cert is None:
                 checks.append("relative-model-cohomology")
                 outcome = check_relative_cohomology(
-                    base_entry.model, fiber, entry.betti, coeff_set, bound
+                    base_entry.model, fiber, entry.betti, coeff_set
                 )
                 if isinstance(outcome, KillCertificate):
                     cert = outcome

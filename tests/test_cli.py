@@ -44,31 +44,10 @@ class TestModelCheck:
         assert code == 0
         assert "betti: 1 0 1 0 1" in out
 
-    def test_env_supplies_max_degree(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", "4")
-        code, out, _ = run(capsys, "model", "check", cp2_file)
-        assert code == 0
-        assert out == "CP2: ok (2 generators)\nbetti: 1 0 1 0 1\n"
-
-    def test_flag_overrides_env(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", "4")
-        code, out, _ = run(capsys, "model", "check", cp2_file, "--max-degree", "2")
-        assert code == 0
-        assert out.endswith("betti: 1 0 1\n")
-
-    def test_no_max_degree_no_betti_line(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.delenv("SULLIVAN_MAX_DEGREE", raising=False)
+    def test_no_max_degree_no_betti_line(self, capsys, cp2_file):
         code, out, _ = run(capsys, "model", "check", cp2_file)
         assert code == 0
         assert out == "CP2: ok (2 generators)\n"
-
-    @pytest.mark.parametrize("env", ["four", "-1"])
-    def test_bad_env_max_degree_exits_2(self, capsys, cp2_file, monkeypatch, env):
-        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", env)
-        code, out, err = run(capsys, "model", "check", cp2_file)
-        assert code == 2
-        assert out == ""
-        assert "SULLIVAN_MAX_DEGREE" in err
 
     def test_minimality_failure_exits_1(self, capsys, tmp_path):
         path = tmp_path / "nm.model"
@@ -118,28 +97,23 @@ class TestModelCohomology:
         assert code == 0
         assert json.loads(out) == {"name": "CP2", "max_degree": 4, "betti": [1, 0, 1, 0, 1]}
 
-    def test_env_supplies_max_degree(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", "4")
-        code, out, _ = run(capsys, "model", "cohomology", cp2_file)
-        assert code == 0
-        assert out == "1 0 1 0 1\n"
-
-    def test_missing_max_degree_exits_2(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.delenv("SULLIVAN_MAX_DEGREE", raising=False)
+    def test_missing_max_degree_exits_2(self, capsys, cp2_file):
         code, _, err = run(capsys, "model", "cohomology", cp2_file)
         assert code == 2
         assert "--max-degree" in err
 
-    @pytest.mark.parametrize("command,env", [
-        (("cohomology", "--max-degree", "-3"), None),
-        (("check", "--max-degree", "-3"), None),
-        (("cohomology",), "-2"),
+    def test_environment_does_not_supply_max_degree(self, capsys, cp2_file, monkeypatch):
+        # the flag is the only source of the degree cap
+        monkeypatch.setenv("SULLIVAN_MAX_DEGREE", "4")
+        code, out, err = run(capsys, "model", "cohomology", cp2_file)
+        assert (code, out) == (2, "")
+        assert "--max-degree" in err
+
+    @pytest.mark.parametrize("command", [
+        ("cohomology", "--max-degree", "-3"),
+        ("check", "--max-degree", "-3"),
     ])
-    def test_negative_max_degree_exits_2(self, capsys, cp2_file, monkeypatch, command, env):
-        if env is None:
-            monkeypatch.delenv("SULLIVAN_MAX_DEGREE", raising=False)
-        else:
-            monkeypatch.setenv("SULLIVAN_MAX_DEGREE", env)
+    def test_negative_max_degree_exits_2(self, capsys, cp2_file, command):
         sub, *flags = command
         code, out, err = run(capsys, "model", sub, cp2_file, *flags)
         assert code == 2
@@ -190,6 +164,13 @@ class TestEllipticEnumerate:
             "{2:3, 3:2, 5:1}",
             "{2:4, 3:4}",
         ]
+
+    def test_environment_does_not_change_the_box(self, capsys, monkeypatch):
+        # under the box {0} no vector has a witness; only --coeffs sets it
+        monkeypatch.setenv("SULLIVAN_COEFFS", "0")
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "4")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
 
     def test_dim_4_no_prune_is_superset(self, capsys):
         code, pruned, _ = run(capsys, "elliptic", "enumerate", "--dim", "4")

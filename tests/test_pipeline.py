@@ -231,8 +231,8 @@ class TestRelativeModelFamily:
         assert _coeff_tuple((1, 0, 1, Fraction(1), 0)) == (Fraction(0), Fraction(1))
         total = find_entry(ESCH)
         args = (find_entry("S3").model, rv("2:1,5:1"), total.betti)
-        plain = check_relative_cohomology(*args, coeff_set=(0, 1), bound=9)
-        repeated = check_relative_cohomology(*args, coeff_set=(0, 1, 1, 0), bound=9)
+        plain = check_relative_cohomology(*args, coeff_set=(0, 1))
+        repeated = check_relative_cohomology(*args, coeff_set=(0, 1, 1, 0))
         assert repeated.to_dict() == plain.to_dict()
 
 
@@ -247,7 +247,7 @@ class TestRelativeCohomologyKills:
         degree 3, and the untwisted scan shows the stray z2^2 class."""
         total = find_entry(ESCH)
         cert = check_relative_cohomology(
-            find_entry("S3").model, rv("2:1,5:1"), total.betti, bound=9
+            find_entry("S3").model, rv("2:1,5:1"), total.betti
         )
         assert isinstance(cert, KillCertificate)
         assert cert.kind == "relative-model-cohomology"
@@ -269,7 +269,7 @@ class TestRelativeCohomologyKills:
     def test_odd_sphere_base_kill_tamper(self):
         total = find_entry(ESCH)
         cert = check_relative_cohomology(
-            find_entry("S3").model, rv("2:1,5:1"), total.betti, bound=9
+            find_entry("S3").model, rv("2:1,5:1"), total.betti
         )
         detail = json.loads(json.dumps(cert.detail))
         detail["branches"][0]["computed"] += 1
@@ -280,7 +280,7 @@ class TestRelativeCohomologyKills:
         # and the base volume class survives in degree 5
         total = find_entry(BAZ)
         cert = check_relative_cohomology(
-            find_entry("S5").model, rv("2:1,9:1"), total.betti, bound=15
+            find_entry("S5").model, rv("2:1,9:1"), total.betti
         )
         assert isinstance(cert, KillCertificate)
         assert cert.detail["degree"] == 5
@@ -294,7 +294,7 @@ class TestRelativeCohomologyKills:
         degree-6 coboundary image is only 3-dimensional: z2^3 survives."""
         total = find_entry(BAZ)
         cert = check_relative_cohomology(
-            find_entry("CP2").model, rv("1:1,2:1,9:1"), total.betti, bound=15
+            find_entry("CP2").model, rv("1:1,2:1,9:1"), total.betti
         )
         assert isinstance(cert, KillCertificate)
         assert cert.detail["degree"] == 5
@@ -310,7 +310,7 @@ class TestRelativeCohomologyKills:
     def test_projective_base_candidate_pool(self):
         total = find_entry(BAZ)
         cert = check_relative_cohomology(
-            find_entry("CP2").model, rv("1:1,2:1,9:1"), total.betti, bound=15
+            find_entry("CP2").model, rv("1:1,2:1,9:1"), total.betti
         )
         assert cert.detail["candidates"]["z1"] == ["x2"]
         assert len(cert.detail["candidates"]["z9"]) == 10
@@ -331,7 +331,7 @@ class TestRelativeCohomologyWitnesses:
     def test_surviving_assignments(self, total, base, fiber, differentials):
         entry = find_entry(total)
         out = check_relative_cohomology(
-            find_entry(base).model, rv(fiber), entry.betti, bound=entry.dim + 2
+            find_entry(base).model, rv(fiber), entry.betti
         )
         assert isinstance(out, RelativeWitness)
         assert out.assignment_text() == differentials
@@ -339,7 +339,7 @@ class TestRelativeCohomologyWitnesses:
     def test_witness_model_matches_target(self):
         entry = find_entry(ESCH)
         out = check_relative_cohomology(
-            find_entry("CP2").model, rv("1:1,2:1,3:1"), entry.betti, bound=9
+            find_entry("CP2").model, rv("1:1,2:1,3:1"), entry.betti
         )
         assert betti_table(out.model, 9).values == (1, 0, 1, 0, 0, 1, 0, 1, 0, 0)
 
