@@ -22,7 +22,11 @@ with integral coefficients kept as int.  Products and the Leibniz
 expansion of d run on those tables; a Fraction is made only when an
 Element is returned.  `search_differentials` is the one backtracking
 search over differentials; the realizability and the relative-model
-searches plug their prunes into it.
+searches plug their prunes into it.  It walks numbered coefficient
+points (`coefficient_box`) over each generator's candidate monomials and
+decides d*d = 0 for a point by sums of vectors computed once per node:
+d is a derivation, so d(x) is affine in the coefficients of d(z)
+(`_dd_test`).  Only a point that passes becomes an Element and a model.
 """
 
 from __future__ import annotations
@@ -410,8 +414,12 @@ class SullivanModel:
                 out[vec] = out.get(vec, 0) + c * v
         return self._tables.element(self, out)
 
-    def _d_monomial(self, mon: Monomial) -> Iterator[tuple[tuple[int, ...], Scalar]]:
-        """The terms (exponent vector, coefficient) of d(mon), unsummed.
+    def _d_monomial(
+        self, mon: Monomial, dgen: Sequence[tuple] | None = None
+    ) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+        """The terms (exponent vector, coefficient) of d(mon), unsummed,
+        for the model's own d or for the derivation whose generator rows
+        (in the form of `_Tables.dgen`) are dgen.
 
         With mon = g_1^e_1 ... g_r^e_r and D the degree of the factors
         before g_i, the g_i term is e_i * (-1)^D * g_1^e_1 .. d(g_i) ..
@@ -420,15 +428,17 @@ class SullivanModel:
         g_i, whose power commutes past d(g_i) without sign.
         """
         tables = self._tables
+        if dgen is None:
+            dgen = tables.dgen
         vec, mask = tables.encode(mon)
         prefix_degree = 0
         for name, e in mon.exps:
             p = tables.index[name]
-            if tables.dgen[p]:
+            if dgen[p]:
                 vec[p] -= 1
                 rest = mask & ~(1 << p)
                 scale = -e if tables.odd[p] and prefix_degree % 2 else e
-                for tvec, tmask, c in tables.dgen[p]:
+                for tvec, tmask, c in dgen[p]:
                     if tmask & rest:
                         continue
                     product, sign = _merge(tvec, tmask, vec, rest)
@@ -601,19 +611,88 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
 
 
 def coefficient_box(
-    model: SullivanModel,
-    monomials: Sequence[Monomial],
-    coeffs: Sequence[Scalar],
-    start: int = 0,
-) -> Iterator[tuple[int, Element]]:
-    """Every sum of c_m * m over monomials with each c_m drawn from coeffs.
+    size: int, coeffs: Sequence[Scalar], start: int = 0
+) -> Iterator[tuple[int, tuple[Scalar, ...]]]:
+    """Every tuple of size coefficients drawn from coeffs, integral ones as
+    int, numbered in itertools.product order (the last coefficient varies
+    fastest), from number start on."""
+    values = [c.numerator if c.denominator == 1 else c for c in map(Fraction, coeffs)]
+    combos = itertools.product(values, repeat=size)
+    return enumerate(itertools.islice(combos, start, None), start)
 
-    The sums come numbered in itertools.product order (the coefficient of
-    the last monomial varies fastest), from number start on.
+
+def _derivation(
+    model: SullivanModel, terms: Iterable[tuple[Monomial, Scalar]], dgen: Sequence[tuple]
+) -> dict[tuple[int, ...], Scalar]:
+    """The nonzero terms of the derivation with generator rows dgen applied
+    to the sum of c * mon over terms."""
+    out: dict[tuple[int, ...], Scalar] = {}
+    for mon, c in terms:
+        for vec, v in model._d_monomial(mon, dgen):
+            out[vec] = out.get(vec, 0) + c * v
+    return {vec: v for vec, v in out.items() if v}
+
+
+def _dd_test(
+    model: SullivanModel,
+    z: str,
+    monomials: Sequence[Monomial],
+    checkable: Sequence[Element],
+    later: set[str],
+) -> Callable[[Sequence[Scalar]], bool]:
+    """The d*d test on the points c of d(z) = v = sum c_k m_k over model,
+    where d(z) is 0: a point passes iff d(w) = 0 for each w in checkable
+    and, unless v touches a generator in later, d(v) = 0.
+
+    d is a derivation, so d(x) = d_0(x) + sum c_k delta_k(x), where d_0 is
+    the model's d and delta_k the derivation that sends z to m_k and every
+    other generator to 0 (FHT GTM 205, section 12).  So d(w) is affine in
+    c and d(v) = sum c_j (d_0(m_j) + sum c_k delta_k(m_j)) quadratic, the
+    delta_k(m_j) nonzero only where m_j contains z.  These vectors are
+    computed once, on the compiled tables, and each point costs sums.
     """
-    combos = itertools.product(coeffs, repeat=len(monomials))
-    for number, combo in enumerate(itertools.islice(combos, start, None), start):
-        yield number, Element(model, dict(zip(monomials, combo)))
+    tables = model._tables
+    p = tables.index[z]
+    d0 = tables.dgen
+    swaps = []
+    for m in monomials:
+        vec, mask = tables.encode(m)
+        rows = [()] * len(d0)
+        rows[p] = ((tuple(vec), mask, 1),)
+        swaps.append(rows)
+    # affine rows (b, [(k, a)]) of d(w): b + sum c_k a = 0 at each term
+    affine = []
+    for w in checkable:
+        terms = [(mon, c.numerator if c.denominator == 1 else c) for mon, c in w.terms.items()]
+        rows = {vec: (b, []) for vec, b in _derivation(model, terms, d0).items()}
+        for k, dgen in enumerate(swaps):
+            for vec, a in _derivation(model, terms, dgen).items():
+                rows.setdefault(vec, (0, []))[1].append((k, a))
+        affine.extend(rows.values())
+    # quadratic rows ([(j, b)], [(j, k, q)]) of d(v), per term
+    quadratic: dict[tuple[int, ...], tuple[list, list]] = {}
+    for j, m in enumerate(monomials):
+        for vec, b in _derivation(model, [(m, 1)], d0).items():
+            quadratic.setdefault(vec, ([], []))[0].append((j, b))
+        if any(name == z for name, _ in m.exps):
+            for k, dgen in enumerate(swaps):
+                for vec, q in _derivation(model, [(m, 1)], dgen).items():
+                    quadratic.setdefault(vec, ([], []))[1].append((j, k, q))
+    deferred = [j for j, m in enumerate(monomials) if any(name in later for name, _ in m.exps)]
+    squares = list(quadratic.values())
+
+    def passes(c: Sequence[Scalar]) -> bool:
+        for b, row in affine:
+            if b + sum([c[k] * a for k, a in row]):
+                return False
+        if any(c[j] for j in deferred):
+            return True
+        for row, quad in squares:
+            if sum([c[j] * b for j, b in row]) + sum([c[j] * c[k] * q for j, k, q in quad]):
+                return False
+        return True
+
+    return passes
 
 
 SearchPath = list[tuple[int, Element]]
@@ -622,21 +701,26 @@ SearchPath = list[tuple[int, Element]]
 def search_differentials(
     model: SullivanModel,
     gens: Sequence[GeneratorSpec],
-    options: Callable[[SearchPath], Iterable[tuple[int, Element]]],
+    options: Callable[[SearchPath], tuple[Sequence[Monomial], Iterable[tuple[int, Sequence[Scalar]]]]],
     node: Callable[[SearchPath, SullivanModel], bool],
     leaf: Callable[[SearchPath, SullivanModel], Any],
 ) -> tuple[Any, int]:
-    """Depth-first search over the differentials of gens, in their order.
+    """Depth-first search over the differentials of gens, in their order;
+    model has d = 0 on gens.
 
-    The path lists the (number, value) choices made for gens[:len(path)];
-    options(path) offers the numbered values for the next generator.  A
-    value v is dropped, and counted, when d(v) != 0, checked as soon as
+    The path lists the (number, value) choices made for gens[:len(path)].
+    options(path) gives the next generator's candidate monomials m_1..m_M
+    and a stream of numbered coefficient points c (`coefficient_box`),
+    each the value sum c_k m_k.  A point is dropped, and counted, when
+    some d(v) != 0, v its value or an earlier one, checked as soon as
     every generator v touches is assigned; generators outside gens count
-    as assigned from the start.  node(path, model) runs at every node,
-    the root included, and returns False to prune there.  leaf(path,
-    model) runs at every complete assignment; its first result other than
-    None ends the search.  Returns that result (None once the tree is
-    exhausted) and the number of values dropped by the d*d check.
+    as assigned from the start.  `_dd_test` decides this per point from
+    vectors computed once per node, so only a point that passes becomes
+    an Element and a model.  node(path, model) runs at every node, the
+    root included, and returns False to prune there.  leaf(path, model)
+    runs at every complete assignment; its first result other than None
+    ends the search.  Returns that result (None once the tree is
+    exhausted) and the number of points dropped by the d*d check.
     """
     names = [g.name for g in gens]
     path: SearchPath = []
@@ -649,17 +733,23 @@ def search_differentials(
         depth = len(path)
         if depth == len(names):
             return leaf(path, current)
-        later = set(names[depth + 1:])
-        for number, value in options(path):
-            nxt = current.with_differentials({names[depth]: value})
-            waiting = pending
-            if value:
-                waiting = [(value, {n for m in value.terms for n, _ in m.exps})] + pending
-            if any(not nxt.d(v).is_zero() for v, used in waiting if not used & later):
+        z, later = names[depth], set(names[depth + 1:])
+        monomials, points = options(path)
+        passes = _dd_test(
+            current, z, monomials, [w for w, used in pending if not used & later], later
+        )
+        pending = [(w, used) for w, used in pending if used & later]
+        for number, combo in points:
+            if not passes(combo):
                 dropped += 1
                 continue
+            value = Element(model, dict(zip(monomials, combo)))
+            used = {n for m in value.terms for n, _ in m.exps}
             path.append((number, value))
-            found = walk(nxt, [(v, used) for v, used in waiting if used & later])
+            found = walk(
+                current.with_differentials({z: value}),
+                [(value, used)] + pending if used & later else pending,
+            )
             path.pop()
             if found is not None:
                 return found

@@ -155,7 +155,7 @@ def _cmd_elliptic_enumerate(args) -> int:
         for f in enumerate_candidates(args.dim):
             print(f)
         return 0
-    coeffs = _coeffs_from(args.coeffs) if args.coeffs else (-1, 0, 1)
+    coeffs = _coeffs_from(args.coeffs) if args.coeffs is not None else (-1, 0, 1)
     undecided = []
     for verdict in elliptic_verdicts(args.dim, coeffs):
         if verdict.status == "realized":
@@ -220,7 +220,7 @@ def _cmd_check_submersion(args) -> int:
         raise CommandError(
             f"--max-base-dim must lie in [2, {total.dim - 1}] for {total.name}"
         )
-    coeffs = _coeffs_from(args.coeffs) if args.coeffs else (0, 1)
+    coeffs = _coeffs_from(args.coeffs) if args.coeffs is not None else (0, 1)
     if 0 not in coeffs:
         raise CommandError("the coefficient set of check submersion must contain 0")
     report = analyze(total, args.max_base_dim, coeff_set=coeffs)

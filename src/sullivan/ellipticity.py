@@ -424,15 +424,19 @@ def _walk_pure_models(
     echelons: list[list[dict]] = [[{} for _ in slices]] * (len(odds) + 1)
     examined = 0
 
-    def options(path):
+    def counted(points):
         nonlocal examined
-        i = len(path)
-        same = i > 0 and odds[i - 1].degree == odds[i].degree
-        for option in coefficient_box(free, monomials[i], coeffs, path[-1][0] if same else 0):
+        for point in points:
             if examined == max_models:
                 return
             examined += 1
-            yield option
+            yield point
+
+    def options(path):
+        i = len(path)
+        same = i > 0 and odds[i - 1].degree == odds[i].degree
+        start = path[-1][0] if same else 0
+        return monomials[i], counted(coefficient_box(len(monomials[i]), coeffs, start))
 
     def node(path, model) -> bool:
         depth = len(path)

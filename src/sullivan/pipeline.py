@@ -485,7 +485,8 @@ def check_relative_cohomology(
         return min(bound, fiber_gens[idx].degree - 1)
 
     def options(path):
-        return coefficient_box(skeleton, candidates[fiber_gens[len(path)].name], coeffs)
+        monomials = candidates[fiber_gens[len(path)].name]
+        return monomials, coefficient_box(len(monomials), coeffs)
 
     def node(path, model) -> bool:
         # check each degree once every generator that can contribute to

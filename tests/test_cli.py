@@ -220,6 +220,12 @@ class TestEllipticEnumerate:
         assert code == 2
         assert "coefficient set" in err
 
+    def test_empty_coeffs_exits_2(self, capsys):
+        # an empty value is a bad box, not a request for the default
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "4", "--coeffs=")
+        assert (code, out) == (2, "")
+        assert "bad coefficient set '': empty" in err
+
 
 class TestFibration:
     def test_fiber_ranks_catalog_names(self, capsys):
@@ -317,6 +323,12 @@ class TestCheckSubmersion:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "must contain 0" in err
+
+    def test_empty_coeffs_exits_2(self, capsys):
+        code, out, err = run(capsys, "check", "submersion", "--total", "eschenburg",
+                             "--max-base-dim", "3", "--coeffs=")
+        assert (code, out) == (2, "")
+        assert "bad coefficient set '': empty" in err
 
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "submersion",

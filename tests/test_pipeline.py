@@ -197,8 +197,8 @@ class TestRelativeModelFamily:
         found = []
 
         def options(path):
-            g = fiber_gens[len(path)]
-            return coefficient_box(skeleton, _candidate_monomials(skeleton, g), coeffs)
+            monomials = _candidate_monomials(skeleton, fiber_gens[len(path)])
+            return monomials, coefficient_box(len(monomials), coeffs)
 
         def leaf(path, model):
             texts = tuple((g.name, str(v)) for g, (_, v) in zip(fiber_gens, path))
@@ -557,6 +557,15 @@ class TestAnalyzeSweeps:
         assert len(small.entries) == len(prefix)
         for e in small.entries:
             assert e == prefix[e.name]
+
+    def test_minus_one_zero_one_drop_count(self):
+        # under the box {-1, 0, 1} the S2xCP2 {1:2, 2:1} kill drops
+        # 105296 values by d*d = 0, the most of the sweep
+        report = analyze(ESCH, 6, coeff_set=(-1, 0, 1))
+        entry = next(e for e in report.entries if e.name == "S2xCP2")
+        verdict = next(v for v in entry.verdicts if str(v.fiber) == "{1:2, 2:1}")
+        assert verdict.certificate.kind == "relative-model-cohomology"
+        assert verdict.certificate.detail["rejected_invalid"] == 105296
 
     def test_catalog_survives_live_audit(self):
         assert audit_table() == []

@@ -2,7 +2,9 @@
 
 Each suite runs at least a thousand seeded cases on small inputs (models
 with at most 6 generators in degrees up to 9, exact sequences with slot
-dimensions up to 3), so failures reproduce deterministically.
+dimensions up to 3), so failures reproduce deterministically.  The search
+suite compares `search_differentials` with a walk that builds a model
+for every point, on boxes sampled by a fixed stride.
 """
 
 import math
@@ -10,10 +12,20 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from sullivan.algebra import SullivanModel, validate_model
+import pytest
+
+from sullivan.algebra import (
+    Element,
+    SullivanModel,
+    coefficient_box,
+    search_differentials,
+    validate_model,
+)
 from sullivan.cohomology import betti, coboundary_matrix, element_to_vector
+from sullivan.ellipticity import RankVector
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
 from sullivan.linalg import RationalMatrix, extend_echelon, rref
+from sullivan.pipeline import _candidate_monomials, _coeff_tuple, _relative_skeleton, find_entry
 
 CASES = 1000
 
@@ -599,3 +611,112 @@ class TestSolverCompleteness:
                 if exactness_admissible(dims):
                     brute.add(tuple(dims))
             assert solved == brute
+
+
+def per_point_walk(model, gens, options):
+    """The search by building every point: each value becomes an Element
+    and a model, and d(v) is evaluated there for every value v that has
+    become checkable.  Returns the leaves' paths and the drop count."""
+    names = [g.name for g in gens]
+    path, leaves, dropped = [], [], 0
+
+    def walk(current, pending):
+        nonlocal dropped
+        depth = len(path)
+        if depth == len(names):
+            leaves.append(list(path))
+            return
+        later = set(names[depth + 1:])
+        monomials, points = options(path)
+        for number, combo in points:
+            value = Element(model, dict(zip(monomials, combo)))
+            nxt = current.with_differentials({names[depth]: value})
+            waiting = pending
+            if value:
+                waiting = [(value, {n for m in value.terms for n, _ in m.exps})] + pending
+            if any(not nxt.d(v).is_zero() for v, used in waiting if not used & later):
+                dropped += 1
+                continue
+            path.append((number, value))
+            walk(nxt, [(v, used) for v, used in waiting if used & later])
+            path.pop()
+
+    walk(model, [])
+    return leaves, dropped
+
+
+def sampled_options(candidates, coeffs, per_node, budget):
+    """options for both searches over candidates[i], the monomials of the
+    i-th generator: at most per_node points of each box, numbered as
+    `coefficient_box` numbers them and spread over the box by a stride
+    prime to its base, and at most budget points in all, counted in the
+    order the search asks for them."""
+    values = [c.numerator if c.denominator == 1 else c for c in coeffs]
+    base = len(values)
+    left = [budget]
+
+    def point(number, size):
+        digits = []
+        for _ in range(size):
+            number, r = divmod(number, base)
+            digits.append(values[r])
+        return tuple(reversed(digits))
+
+    def options(path):
+        monomials = candidates[len(path)]
+        total = base ** len(monomials)
+        step = max(1, total // per_node)
+        while math.gcd(step, base) != 1:
+            step += 1
+
+        def points():
+            for number in range(0, total, step):
+                if not left[0]:
+                    return
+                left[0] -= 1
+                yield number, point(number, len(monomials))
+
+        return monomials, points()
+
+    return options
+
+
+def test_sampled_points_are_numbered_as_the_box():
+    box = list(coefficient_box(3, _coeff_tuple((-1, 0, 1))))
+    _, points = sampled_options([[None] * 3], _coeff_tuple((-1, 0, 1)), 27, 27)([])
+    assert list(points) == box
+
+
+class TestSearchAgainstPerPointWalk:
+    # relative skeletons over catalog bases; the degree-1 fibers put z
+    # into its own candidates, so d(v) is quadratic in the point
+    SKELETONS = [
+        ("S2xCP2", "1:2,2:1"),
+        ("S2", "1:2,2:1"),
+        ("CP2", "1:1,2:1,9:1"),
+        ("S3", "2:1,5:1"),
+    ]
+    BOXES = [(0, 1), (-1, 0, 1), (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1)]
+
+    @pytest.mark.parametrize("base, fiber", SKELETONS)
+    @pytest.mark.parametrize("box", BOXES, ids=["0,1", "-1,0,1", "halves"])
+    def test_same_leaves_and_drops(self, base, fiber, box):
+        skeleton, gens = _relative_skeleton(find_entry(base).model, RankVector.parse(fiber))
+        coeffs = _coeff_tuple(box)
+        candidates = [_candidate_monomials(skeleton, g) for g in gens]
+        leaves = []
+
+        def leaf(path, model):
+            leaves.append(list(path))
+
+        _, dropped = search_differentials(
+            skeleton, gens, sampled_options(candidates, coeffs, 12, 600),
+            lambda path, model: True, leaf,
+        )
+        want, want_dropped = per_point_walk(
+            skeleton, gens, sampled_options(candidates, coeffs, 12, 600)
+        )
+        assert dropped == want_dropped
+        assert [[(n, str(v)) for n, v in p] for p in leaves] == [
+            [(n, str(v)) for n, v in p] for p in want
+        ]
