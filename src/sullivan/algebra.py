@@ -134,9 +134,6 @@ class Element:
             raise ValueError(f"inhomogeneous element, degrees {sorted(degs)}")
         return degs.pop()
 
-    def coefficient(self, mon: Monomial) -> Fraction:
-        return self.terms.get(mon, Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         key = self.model.monomial_sort_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]))
@@ -376,20 +373,6 @@ class SullivanModel:
             (self.generators[p].name, counts[p]) for p in sorted(counts)
         )
         return Monomial(exps), (-1) ** inversions
-
-    def multiply_monomials(self, a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
-        """Product of two canonical monomials: (canonical monomial, sign).
-
-        (None, 0) when an odd generator would be squared.  Sign counts the
-        odd-odd pairs (x in a, y in b) with x declared after y.
-        """
-        tables = self._tables
-        avec, amask = tables.encode(a)
-        bvec, bmask = tables.encode(b)
-        if amask & bmask:
-            return None, 0
-        vec, sign = _merge(avec, amask, bvec, bmask)
-        return tables.decode(vec), sign
 
     # -- differential ----------------------------------------------------
 

@@ -23,13 +23,7 @@ from pathlib import Path
 from .algebra import validate_model
 from .cohomology import betti_table
 from .dsl import ParseError, parse_document
-from .ellipticity import (
-    RankVector,
-    elliptic_verdicts,
-    enumerate_candidates,
-    formal_dimension,
-    rank_vector_of_model,
-)
+from .ellipticity import RankVector, elliptic_verdicts, enumerate_candidates
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
 from .pipeline import (
     REPRODUCE_TARGETS,
@@ -94,18 +88,10 @@ def _total_entry(spec: str) -> SpaceCatalogEntry:
         report = validate_model(doc.model, require_minimal=True)
         if not report.ok:
             raise CommandError(f"{spec}: {report.summary()}")
-        rv = rank_vector_of_model(doc.model)
-        dim = formal_dimension(rv)
-        if dim <= 0:
-            raise CommandError(f"{spec}: formal dimension {dim} is not positive")
-        return SpaceCatalogEntry(
-            name=doc.name,
-            rank_vector=rv,
-            dim=dim,
-            model=doc.model,
-            betti=betti_table(doc.model, dim),
-            table_row=False,
-        )
+        entry = SpaceCatalogEntry.of(doc.name, doc.model, table_row=False)
+        if entry.dim <= 0:
+            raise CommandError(f"{spec}: formal dimension {entry.dim} is not positive")
+        return entry
     try:
         return find_entry(spec)
     except KeyError as exc:

@@ -75,26 +75,9 @@ class BettiTable:
     def __len__(self) -> int:
         return len(self.values)
 
-    def nonzero_degrees(self) -> tuple[int, ...]:
-        return tuple(k for k, b in enumerate(self.values) if b)
-
-    def total(self) -> int:
-        return sum(self.values)
-
-    def format(self) -> str:
-        return " ".join(f"b{k}={b}" for k, b in enumerate(self.values))
-
 
 def betti_table(model: SullivanModel, top: int) -> BettiTable:
     return BettiTable(tuple(betti(model, k) for k in range(top + 1)))
-
-
-def top_nonvanishing_degree(model: SullivanModel, bound: int) -> int | None:
-    """Largest k <= bound with nonzero cohomology, scanning downward."""
-    for k in range(bound, -1, -1):
-        if betti(model, k):
-            return k
-    return None
 
 
 @dataclass
@@ -136,14 +119,3 @@ def is_coboundary(x: Element) -> CoboundaryVerdict:
             functional = {basis[i]: c for i, c in phi.items()}
             return CoboundaryVerdict(False, functional=functional)
     raise AssertionError("unsolvable system with no separating functional")
-
-
-def evaluate_functional(functional: dict[Monomial, Fraction], x: Element) -> Fraction:
-    return sum(
-        (c * x.terms.get(mon, Fraction(0)) for mon, c in functional.items()),
-        Fraction(0),
-    )
-
-
-def euler_characteristic(model: SullivanModel, top: int) -> int:
-    return sum((-1) ** k * betti(model, k) for k in range(top + 1))

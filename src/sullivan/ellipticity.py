@@ -25,7 +25,8 @@ condition, and no others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -39,7 +40,6 @@ from .algebra import (
     coefficient_box,
     search_differentials,
 )
-from .cohomology import BettiTable, betti_table
 from .linalg import extend_echelon
 
 
@@ -262,14 +262,6 @@ class RealizabilityVerdict:
     examined: int = 0
     note: str = ""
 
-    @property
-    def betti(self) -> BettiTable | None:
-        """The model's Betti numbers through the formal dimension, computed
-        on demand: deciding a vector never needs the whole table."""
-        if self.model is None:
-            return None
-        return betti_table(self.model, formal_dimension(self.f))
-
 
 def generators_for(
     f: RankVector, prefix: str = "g", origin: str = "plain"
@@ -353,14 +345,16 @@ def _pure_shape(f: RankVector):
 PURE_ATTEMPTS = 8
 
 
-def _lcg_coefficients(coeffs: Sequence[Fraction], attempt: int, index: int) -> Iterator[Fraction]:
-    """Coefficients drawn from coeffs by the 32-bit linear congruential
-    generator of ANSI C, seeded by (attempt, index): a fixed arithmetic
-    rule, so every run picks the same ones."""
-    state = (attempt << 16) ^ index
+def _drawn_coefficients(coeffs: Sequence[Fraction], attempt: int, index: int) -> Iterator[Fraction]:
+    """Coefficients drawn uniformly from coeffs by a `random.Random` seeded
+    with the string "attempt/index": seeded, so every run draws the same
+    ones.  A string seed is hashed (SHA-512), so each (attempt, index) has
+    a stream of its own.  The integer seed attempt << 32 | index would
+    not: the Mersenne Twister's seeding gives it the same stream at
+    attempts 0 and index - 1."""
+    draw = random.Random(f"{attempt}/{index}")
     while coeffs:
-        state = (1103515245 * state + 12345) & 0xFFFFFFFF
-        yield coeffs[(state >> 16) % len(coeffs)]
+        yield draw.choice(coeffs)
 
 
 def pure_witness(
@@ -372,7 +366,7 @@ def pure_witness(
     The model has dx = 0 on the even generators x and, on the odd
     generators y, dy a combination of the even-only monomials of length
     at least 2 in degree |y|+1, so d*d = 0 and the model is minimal.  The
-    coefficients come from coeff_set, sorted, by `_lcg_coefficients`;
+    coefficients come from coeff_set, sorted, by `_drawn_coefficients`;
     attempt a = 0, 1, ..., PURE_ATTEMPTS - 1 reseeds it.  The certificate
     is that the ideal (dy) fills every slice of `_pure_shape`, checked by
     integer elimination of the multiples m*dy (`_relation_columns`,
@@ -384,7 +378,7 @@ def pure_witness(
     free, odds, monomials, slices = _pure_shape(f)
     for attempt in range(PURE_ATTEMPTS):
         values = [
-            Element(free, dict(zip(mons, _lcg_coefficients(coeffs, attempt, j))))
+            Element(free, dict(zip(mons, _drawn_coefficients(coeffs, attempt, j))))
             for j, mons in enumerate(monomials)
         ]
         for top, shifts in slices:

@@ -15,7 +15,7 @@ rank as state instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cohomology import BettiTable
 from .ellipticity import RankVector, canonical_sorted

@@ -220,10 +220,6 @@ def replay(steps: list[Step], b: SparseVec) -> None:
                 b.pop(t, None)
 
 
-def rank(rows: Iterable[SparseVec], ncols: int) -> int:
-    return RationalMatrix(rows, ncols).rank()
-
-
 def extend_echelon(
     echelon: dict[int, IntVec], vectors: Iterable[Mapping], dim: int
 ) -> dict[int, IntVec]:

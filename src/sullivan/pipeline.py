@@ -53,7 +53,7 @@ from .ellipticity import (
     rank_vector_of_model,
 )
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
-from .linalg import RationalMatrix, reduce_against, rref
+from .linalg import reduce_against, rref
 
 TWO_SPHERE = RankVector.of({2: 1, 3: 1})
 
@@ -127,28 +127,25 @@ class SpaceCatalogEntry:
     aliases: tuple[str, ...] = ()
     table_row: bool = True
 
+    @classmethod
+    def of(
+        cls, name: str, model: SullivanModel, aliases: tuple[str, ...] = (), table_row: bool = True
+    ) -> "SpaceCatalogEntry":
+        """The entry for model: its rank vector, formal dimension and Betti
+        numbers through that dimension."""
+        rv = rank_vector_of_model(model)
+        dim = formal_dimension(rv)
+        return cls(name, rv, dim, model, betti_table(model, dim), aliases, table_row)
+
 
 @lru_cache(maxsize=1)
 def catalog() -> tuple[SpaceCatalogEntry, ...]:
     """All pinned spaces: the realizable rank vectors in dimensions 2..7,
     each with a product witness model, plus the two named total spaces."""
-    entries = []
-    for name, factors, aliases, table_row in _CATALOG_ROWS:
-        model = _build_model(factors)
-        rv = rank_vector_of_model(model)
-        dim = formal_dimension(rv)
-        entries.append(
-            SpaceCatalogEntry(
-                name=name,
-                rank_vector=rv,
-                dim=dim,
-                model=model,
-                betti=betti_table(model, dim),
-                aliases=aliases,
-                table_row=table_row,
-            )
-        )
-    return tuple(entries)
+    return tuple(
+        SpaceCatalogEntry.of(name, _build_model(factors), aliases, table_row)
+        for name, factors, aliases, table_row in _CATALOG_ROWS
+    )
 
 
 def find_entry(name: str) -> SpaceCatalogEntry:

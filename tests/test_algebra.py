@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from sullivan.algebra import (
-    Element,
     GeneratorSpec,
     Monomial,
     SullivanModel,

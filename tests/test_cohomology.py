@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -9,10 +8,7 @@ from sullivan.cohomology import (
     betti,
     betti_table,
     coboundary_matrix,
-    euler_characteristic,
-    evaluate_functional,
     is_coboundary,
-    top_nonvanishing_degree,
 )
 
 
@@ -109,7 +105,7 @@ class TestKunneth:
     def test_projective_sphere_product_profile(self):
         prod = product(projective(2), sphere(9))
         table = betti_table(prod, 13)
-        assert table.nonzero_degrees() == (0, 2, 4, 9, 11, 13)
+        assert tuple(k for k, b in enumerate(table.values) if b) == (0, 2, 4, 9, 11, 13)
         assert all(table[k] in (0, 1) for k in range(14))
 
 
@@ -118,23 +114,26 @@ class TestBettiTable:
         t = BettiTable((1, 0, 1))
         assert t[2] == 1 and t[5] == 0 and t[-1] == 0
 
-    def test_format(self):
-        assert BettiTable((1, 0)).format() == "b0=1 b1=0"
-
     def test_total(self):
-        assert betti_table(flag6(), 6).total() == 6
+        # the flag manifold U(3)/T^3 has total Betti number |S_3| = 6
+        assert sum(betti_table(flag6(), 6).values) == 6
 
 
 class TestTopDegree:
+    """The top degree with cohomology is the formal dimension."""
+
     def test_projective_plane(self):
-        assert top_nonvanishing_degree(projective(2), 10) == 4
+        table = betti_table(projective(2), 10)
+        assert max(k for k in range(11) if table[k]) == 4
 
     def test_odd_sphere(self):
-        assert top_nonvanishing_degree(sphere(3), 3) == 3
+        table = betti_table(sphere(3), 3)
+        assert max(k for k in range(4) if table[k]) == 3
 
-    def test_none_above_zero(self):
-        # scanning only degrees 1..bound of a connected model finds b_0 at 0
-        assert top_nonvanishing_degree(sphere(3), 2) == 0
+
+def pair(functional, x):
+    """The value of a functional over basis monomials on the element x."""
+    return sum(c * x.terms.get(mon, 0) for mon, c in functional.items())
 
 
 class TestCoboundary:
@@ -150,11 +149,11 @@ class TestCoboundary:
         x = m.gen("x2")
         v = is_coboundary(x)
         assert not v.is_coboundary
-        assert evaluate_functional(v.functional, x) != 0
+        assert pair(v.functional, x) != 0
         # the functional must kill every coboundary of that degree
         for mon in m.basis_of_degree(1):
             dm = m.d(m.monomial(mon))
-            assert evaluate_functional(v.functional, dm) == 0
+            assert pair(v.functional, dm) == 0
 
     def test_exact_in_product(self):
         m = product(sphere(2), sphere(4))
@@ -170,7 +169,7 @@ class TestCoboundary:
         m = sphere(2)
         v = is_coboundary(m.unit())
         assert not v.is_coboundary
-        assert evaluate_functional(v.functional, m.unit()) == 1
+        assert pair(v.functional, m.unit()) == 1
 
     def test_rejects_non_cocycle(self):
         m = sphere(2)
@@ -196,12 +195,17 @@ class TestCoboundary:
         assert m.d(v.witness) == x
 
 
+def euler(table):
+    return sum((-1) ** k * b for k, b in enumerate(table.values))
+
+
 class TestEuler:
     def test_flag6(self):
-        assert euler_characteristic(flag6(), 6) == 6
+        # chi(U(3)/T^3) = |S_3| = 6
+        assert euler(betti_table(flag6(), 6)) == 6
 
     def test_odd_sphere_vanishes(self):
-        assert euler_characteristic(sphere(3), 3) == 0
+        assert euler(betti_table(sphere(3), 3)) == 0
 
     def test_matrix_is_cached(self):
         m = sphere(2)

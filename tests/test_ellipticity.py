@@ -10,6 +10,7 @@ from sullivan.cohomology import betti, betti_table
 from sullivan.ellipticity import (
     PURE_ATTEMPTS,
     RankVector,
+    _drawn_coefficients,
     _even_exponents,
     _pure_shape,
     _relation_columns,
@@ -275,7 +276,7 @@ class TestRealizability:
         assert validate_model(v.model).ok
         assert rank_vector_of_model(v.model) == f
         n = formal_dimension(f)
-        assert v.betti[n] > 0
+        assert betti(v.model, n) > 0
         assert all(betti(v.model, k) == 0 for k in range(n + 1, 2 * n + 3))
 
     def test_unrealizable_notes_coefficients(self):
@@ -290,19 +291,20 @@ class TestRealizability:
         assert "budget" in v.note
         # the (0, 1) walk on {2:3, 3:3} builds 392 pure models, the last realized
         f = RankVector.parse("2:3,3:3")
-        short = realizable(f, coeff_set=(0, 1), max_models=391)
+        box = (Fraction(0), Fraction(1))
+        short = _walk_pure_models(f, box, max_models=391)
         assert (short.status, short.examined, short.model) == ("inconclusive", 391, None)
-        enough = realizable(f, coeff_set=(0, 1), max_models=392)
+        enough = _walk_pure_models(f, box, max_models=392)
         assert (enough.status, enough.examined) == ("realized", 392)
 
     def test_repeated_coefficients_dropped(self):
         f = RankVector.parse("2:3,3:3")
         plain = realizable(f, coeff_set=(0, 1))
         repeated = realizable(f, coeff_set=(0, 1, 1, 0))
-        assert (repeated.status, repeated.examined, repeated.model) == (
-            plain.status, plain.examined, plain.model
+        assert (repeated.status, repeated.examined, repeated.model, repeated.note) == (
+            plain.status, plain.examined, plain.model, plain.note
         )
-        assert (plain.status, plain.examined) == ("realized", 392)
+        assert plain.status == "realized"
 
     @pytest.mark.parametrize(
         "given, ascending",
@@ -333,7 +335,8 @@ class TestRealizability:
         # the point is elliptic of formal dimension 0, so no box proves it
         # unrealizable
         v = realizable(RankVector(()))
-        assert (v.status, v.model.generators, v.betti.values) == ("realized", (), (1,))
+        assert (v.status, v.model.generators) == ("realized", ())
+        assert betti_table(v.model, 0).values == (1,)
 
     @pytest.mark.parametrize("coeffs", [(-1, 0, 1), (0, 1), (-1, 0, 1, 2)])
     def test_walk_agrees_with_sac(self, coeffs):
@@ -351,11 +354,10 @@ class TestRealizability:
 
     @pytest.mark.parametrize("text", ["2:3,3:3", "2:1,4:1,5:1,7:1", "2:2,5:2", "2:3,3:2,5:1"])
     def test_zero_one_fallback_realized(self, text):
-        """The SAC vectors of dims 2..9 with no pure witness under (0, 1)
-        are realized by the walk, as the box search realized them."""
+        """These SAC vectors of dims 2..9 are realized under (0, 1) by the
+        walk alone, as the box search realized them."""
         f = RankVector.parse(text)
-        assert pure_witness(f, (0, 1)) is None
-        v = realizable(f, coeff_set=(0, 1))
+        v = _walk_pure_models(f, (Fraction(0), Fraction(1)))
         assert v.status == "realized" and v.examined > 0
         assert_certified_pure(v.model, f)
 
@@ -385,6 +387,27 @@ class TestPureWitness:
                     attempts.append(found[1])
         assert len(attempts) == 78
         assert max(attempts) == 2 < PURE_ATTEMPTS
+
+    @pytest.mark.parametrize("coeffs", [(0, 1), (-1, 0, 1, 2)])
+    def test_attempts_draw_distinct_streams(self, coeffs):
+        """At every generator index the attempts draw pairwise-distinct
+        coefficient streams, also in boxes of two and four values."""
+        box = tuple(map(Fraction, coeffs))
+        for index in (0, 1, 2, 3, 5, 8, 17, 1000):
+            streams = {
+                tuple(itertools.islice(_drawn_coefficients(box, attempt, index), 40))
+                for attempt in range(PURE_ATTEMPTS)
+            }
+            assert len(streams) == PURE_ATTEMPTS, index
+
+    def test_zero_one_witness_without_walk(self):
+        """{2:3, 3:3, 4:1, 7:1} (dim 10) gets a pure witness under (0, 1),
+        so the walk, which runs past ten minutes on it, is not reached."""
+        f = RankVector.parse("2:3,3:3,4:1,7:1")
+        model, _ = pure_witness(f, (0, 1))
+        assert_certified_pure(model, f)
+        v = realizable(f, coeff_set=(0, 1))
+        assert (v.status, v.examined) == ("realized", 0)
 
     @pytest.mark.parametrize("coeffs", [(-1, 0, 1), (-1, 0, 1, 2), (-2, -1, 0, 1, 2)])
     def test_witnesses_are_elliptic(self, coeffs):
@@ -447,7 +470,7 @@ class TestVerdicts:
             n = formal_dimension(v.f)
             assert (v.status, v.examined) == ("realized", 0)
             assert "pure witness" in v.note
-            assert v.betti == betti_table(v.model, n) and v.betti[n] == 1
+            assert betti(v.model, n) == 1
 
     def test_falls_back_to_search(self):
         # no pure witness exists in the zero box once there is an even

@@ -12,12 +12,11 @@ from fractions import Fraction
 import pytest
 
 from sullivan.algebra import (
-    SullivanModel,
     coefficient_box,
     search_differentials,
     validate_model,
 )
-from sullivan.cohomology import BettiTable, betti, betti_table
+from sullivan.cohomology import betti_table
 from sullivan.ellipticity import RankVector, formal_dimension
 from sullivan.exactseq import fiber_rank_vectors
 from sullivan.pipeline import (
@@ -39,7 +38,6 @@ from sullivan.pipeline import (
     model_data,
     model_from_data,
     monomial_from_word,
-    realized_rank_vectors,
     reproduce,
 )
 
