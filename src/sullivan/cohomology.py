@@ -19,14 +19,7 @@ from .linalg import RationalMatrix, SparseVec, vec_dot
 
 def element_to_vector(x: Element, k: int) -> SparseVec:
     """Coordinates of a degree-k element in the canonical monomial basis."""
-    return _coordinates(x, _basis_index(x.model, k), k)
-
-
-def _basis_index(model: SullivanModel, k: int) -> dict[Monomial, int]:
-    return {mon: i for i, mon in enumerate(model.basis_of_degree(k))}
-
-
-def _coordinates(x: Element, index: dict[Monomial, int], k: int) -> SparseVec:
+    index = {mon: i for i, mon in enumerate(x.model.basis_of_degree(k))}
     out: SparseVec = {}
     for mon, c in x.terms.items():
         if mon not in index:
@@ -42,13 +35,28 @@ def vector_to_element(model: SullivanModel, vec: SparseVec, k: int) -> Element:
 
 @lru_cache(maxsize=None)
 def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
-    """Matrix of d from degree k to degree k+1, columns over the k-basis."""
-    index = _basis_index(model, k + 1)
-    cols = [
-        _coordinates(model.d(model.monomial(mon)), index, k + 1)
-        for mon in model.basis_of_degree(k)
-    ]
-    return RationalMatrix.from_columns(cols, len(index))
+    """Matrix of d from degree k to degree k+1, columns over the k-basis.
+
+    Each column sums the terms of d on one basis monomial, read from the
+    model's compiled differential and filed by exponent vector, so no
+    Element is built; the entries are stored as Fractions.
+    """
+    tables = model._tables
+    index = {
+        tuple(tables.encode(mon)[0]): i for i, mon in enumerate(model.basis_of_degree(k + 1))
+    }
+    rows: list[dict] = [{} for _ in index]
+    columns = model.basis_of_degree(k)
+    for j, mon in enumerate(columns):
+        for vec, c in model._d_monomial(mon):
+            i = index.get(vec)
+            if i is None:
+                raise ValueError(f"term {tables.decode(vec).format()} is not of degree {k + 1}")
+            row = rows[i]
+            row[j] = row.get(j, 0) + c
+    return RationalMatrix(
+        [{j: Fraction(c) for j, c in row.items() if c} for row in rows], len(columns)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -63,15 +63,6 @@ class RationalMatrix:
         ncols = max((len(r) for r in rows), default=0)
         return cls([vec_from_dense(r) for r in rows], ncols)
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[SparseVec], nrows: int) -> "RationalMatrix":
-        rows: list[SparseVec] = [dict() for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                if v:
-                    rows[i][j] = Fraction(v)
-        return cls(rows, len(cols))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Mapping, Sequence
 
 from .algebra import (
@@ -123,7 +123,6 @@ class SpaceCatalogEntry:
     rank_vector: RankVector
     dim: int
     model: SullivanModel
-    betti: BettiTable
     aliases: tuple[str, ...] = ()
     table_row: bool = True
 
@@ -131,11 +130,16 @@ class SpaceCatalogEntry:
     def of(
         cls, name: str, model: SullivanModel, aliases: tuple[str, ...] = (), table_row: bool = True
     ) -> "SpaceCatalogEntry":
-        """The entry for model: its rank vector, formal dimension and Betti
-        numbers through that dimension."""
+        """The entry for model, with its rank vector and formal dimension;
+        its Betti table is computed on first read of `betti`."""
         rv = rank_vector_of_model(model)
-        dim = formal_dimension(rv)
-        return cls(name, rv, dim, model, betti_table(model, dim), aliases, table_row)
+        return cls(name, rv, formal_dimension(rv), model, aliases, table_row)
+
+    @cached_property
+    def betti(self) -> BettiTable:
+        """Betti numbers through the formal dimension; an instance
+        attribute once read, so it stays out of == and hash."""
+        return betti_table(self.model, self.dim)
 
 
 @lru_cache(maxsize=1)
@@ -412,10 +416,12 @@ def _coeff_tuple(coeff_set: Sequence) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class RelativeWitness:
-    """A differential assignment matching the target cohomology."""
+    """A differential assignment matching the target cohomology, and the
+    number of points the search dropped by the d*d check on its way."""
 
     model: SullivanModel
     assignment: tuple[tuple[str, Element], ...]
+    rejected_invalid: int
 
     def assignment_text(self) -> dict[str, str]:
         return {name: str(e) for name, e in self.assignment}
@@ -504,16 +510,14 @@ def check_relative_cohomology(
                 return False
         return True
 
-    def leaf(path, model) -> RelativeWitness:
+    def leaf(path, model):
         # every value passed the search's d*d check and has the right
         # degree by construction, so a leaf is a valid model
-        return RelativeWitness(
-            model, tuple((g.name, v) for g, (_, v) in zip(fiber_gens, path))
-        )
+        return model, tuple((g.name, v) for g, (_, v) in zip(fiber_gens, path))
 
-    witness, dropped = search_differentials(skeleton, fiber_gens, options, node, leaf)
-    if witness is not None:
-        return witness
+    found, dropped = search_differentials(skeleton, fiber_gens, options, node, leaf)
+    if found is not None:
+        return RelativeWitness(*found, rejected_invalid=dropped)
 
     if branches:
         deepest = max(branches, key=lambda r: (r["degree"], len(r["assignment"])))

@@ -23,6 +23,7 @@ from sullivan.pipeline import (
     INTEGRAL_FLAG,
     KillCertificate,
     RelativeWitness,
+    SpaceCatalogEntry,
     analyze,
     _candidate_monomials,
     _coeff_tuple,
@@ -78,6 +79,21 @@ class TestCatalog:
     )
     def test_betti_tables(self, name, values):
         assert find_entry(name).betti.values == values
+
+    def test_betti_tables_computed_on_first_read(self):
+        catalog.cache_clear()
+        entries = catalog()
+        assert not [e.name for e in entries if "betti" in vars(e)]
+        fresh = {
+            e.name: SpaceCatalogEntry.of(e.name, e.model, e.aliases, e.table_row) for e in entries
+        }
+        digests = {e.name: hash(e) for e in entries}
+        analyze("S7", 6)
+        assert [e.name for e in entries if "betti" in vars(e)] == ["S7"]
+        assert find_entry("S7").betti.values == (1, 0, 0, 0, 0, 0, 0, 1)
+        for e in entries:
+            assert e == fresh[e.name] and fresh[e.name] == e
+            assert hash(e) == hash(fresh[e.name]) == digests[e.name]
 
     def test_find_entry_aliases(self):
         assert find_entry("w6").name == "S2xCP2"
@@ -333,6 +349,18 @@ class TestRelativeCohomologyWitnesses:
         )
         assert isinstance(out, RelativeWitness)
         assert out.assignment_text() == differentials
+
+    def test_witness_reports_dropped_points(self):
+        """z1 = 0 leaves b1 = 1 and is pruned, so z1 = x2; the first z2
+        point, 0, leads to the witness.  z3 walks (z2^2, z1*z3, x2*z2,
+        x2^2) in product order up to (1, 0, 0, 0), the witness z2^2.  Of
+        the 8 points before it, the 4 with z1*z3 carry d(z1*z3) = x2*z3 +
+        (terms in z1), whose x2*z3 nothing else cancels: 4 drops."""
+        out = check_relative_cohomology(
+            find_entry("CP2").model, rv("1:1,2:1,3:1"), find_entry(ESCH).betti
+        )
+        assert isinstance(out, RelativeWitness)
+        assert out.rejected_invalid == 4
 
     def test_witness_model_matches_target(self):
         entry = find_entry(ESCH)

@@ -272,9 +272,14 @@ class TestCompiledDifferential:
             for mon in model.basis_of_degree(k):
                 dm = model.d(model.monomial(mon))
                 cols.append(element_to_vector(dm, k + 1) if dm else {})
-            want = RationalMatrix.from_columns(cols, model.dimension_of_degree(k + 1))
+            want = [{} for _ in range(model.dimension_of_degree(k + 1))]
+            for j, col in enumerate(cols):
+                for i, v in col.items():
+                    want[i][j] = v
             got = coboundary_matrix(model, k)
-            assert (got.rows, got.ncols) == (want.rows, want.ncols)
+            assert (got.rows, got.ncols) == (want, len(cols))
+            # int entries would compare equal to the Fractions above
+            assert all(type(v) is Fraction for row in got.rows for v in row.values())
             fractional += any(v.denominator > 1 for row in got.rows for v in row.values())
             checked += 1
         assert fractional >= 20
@@ -313,6 +318,12 @@ def random_columns(rng, ncols):
     return out, kinds
 
 
+def rank_of(vectors, ncols):
+    """Rank of vectors over range(ncols), from RationalMatrix.rank."""
+    rows = [{j: Fraction(v) for j, v in vec.items() if v} for vec in vectors]
+    return RationalMatrix(rows, ncols).rank()
+
+
 def assert_echelon_form(echelon):
     for lead, row in echelon.items():
         assert lead == min(row)
@@ -332,20 +343,18 @@ class TestIncrementalEchelon:
             cols, kinds = random_columns(rng, ncols)
             for kind in kinds:
                 seen[kind] += 1
-            want = RationalMatrix.from_columns(cols, ncols).rank()
+            want = rank_of(cols, ncols)
             once = extend_echelon({}, cols, ncols)
             assert len(once) == want
             assert_echelon_form(once)
-            rows = list(once.values()) + cols
-            as_rows = [{j: Fraction(v) for j, v in row.items() if v} for row in rows]
-            assert RationalMatrix(as_rows, ncols).rank() == want
+            assert rank_of(list(once.values()) + cols, ncols) == want
             cuts = sorted(rng.sample(range(len(cols) + 1), min(len(cols) + 1, rng.randint(1, 3))))
             echelon = {}
             for lo, hi in zip([0] + cuts, cuts + [len(cols)]):
                 before = {lead: dict(row) for lead, row in echelon.items()}
                 grown = extend_echelon(echelon, cols[lo:hi], ncols)
                 assert echelon == before
-                assert len(grown) == RationalMatrix.from_columns(cols[:hi], ncols).rank()
+                assert len(grown) == rank_of(cols[:hi], ncols)
                 echelon = grown
             assert_echelon_form(echelon)
             assert len(echelon) == len(once)
