@@ -13,12 +13,12 @@ analysis, fixture drift), 2 on usage or parse errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .algebra import validate_model
 from .cohomology import betti_table
@@ -51,13 +51,13 @@ def _coeffs_from(text: str) -> tuple[Fraction, ...]:
 
 
 def _degree(text: str) -> int:
-    """A nonnegative degree, for --max-degree."""
+    """A nonnegative integer, for --max-degree and --dim."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise ValueError(f"expected an integer, got {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+        raise ValueError(f"must not be negative, got {value}")
     return value
 
 
@@ -179,9 +179,12 @@ def _cmd_fibration_wang(args) -> int:
             if not sep:
                 raise CommandError(f"bad --known entry {piece!r} (use k=v)")
             try:
-                known[int(k)] = int(v)
+                k, v = int(k), int(v)
             except ValueError:
                 raise CommandError(f"bad --known entry {piece!r}")
+            if v < 0:
+                raise CommandError(f"bad --known entry {piece!r}: a Betti number is not negative")
+            known[k] = v
     try:
         solutions = wang_fiber_betti(
             args.sphere, total.betti, args.fiber_dim, known_fiber=known or None
@@ -223,89 +226,103 @@ def _cmd_reproduce(args) -> int:
 
 # -- argument surface --------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sullivan",
-        description="Exact rational-homotopy computations: models, cohomology, and submersion obstructions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    model = sub.add_parser("model", help="work with model files")
-    model_sub = model.add_subparsers(dest="subcommand", required=True)
-    mc = model_sub.add_parser("check", help="validate a model file")
-    mc.add_argument("file")
-    mc.add_argument("--max-degree", type=_degree, default=None)
-    mc.add_argument("--require-minimal", action="store_true")
-    mc.add_argument("--require-simply-connected", action="store_true")
-    mc.set_defaults(handler=_cmd_model_check)
-    mh = model_sub.add_parser("cohomology", help="Betti numbers of a model file")
-    mh.add_argument("file")
-    mh.add_argument("--max-degree", type=_degree, required=True)
-    mh.add_argument("--format", choices=("text", "tree"), default="text")
-    mh.set_defaults(handler=_cmd_model_cohomology)
-
-    elliptic = sub.add_parser("elliptic", help="rank-vector enumeration")
-    elliptic_sub = elliptic.add_subparsers(dest="subcommand", required=True)
-    ee = elliptic_sub.add_parser("enumerate", help="elliptic rank vectors for one dimension")
-    ee.add_argument("--dim", type=int, required=True)
-    ee.add_argument("--no-prune", action="store_true",
-                    help="list every numerically feasible vector, skip the arithmetic"
-                         " condition and the witness search")
-    ee.add_argument("--coeffs", default=None)
-    ee.set_defaults(handler=_cmd_elliptic_enumerate)
-
-    fibration = sub.add_parser("fibration", help="exact-sequence rank solving")
-    fibration_sub = fibration.add_subparsers(dest="subcommand", required=True)
-    fr = fibration_sub.add_parser("fiber-ranks", help="fiber rank vectors over a base")
-    fr.add_argument("--total", required=True)
-    fr.add_argument("--base", required=True)
-    fr.set_defaults(handler=_cmd_fibration_fiber_ranks)
-    fw = fibration_sub.add_parser("wang", help="fiber Betti profiles over an odd sphere")
-    fw.add_argument("--sphere", type=int, required=True)
-    fw.add_argument("--total", required=True)
-    fw.add_argument("--fiber-dim", type=int, required=True)
-    fw.add_argument("--known", default=None)
-    fw.set_defaults(handler=_cmd_fibration_wang)
-
-    check = sub.add_parser("check", help="obstruction analyses")
-    check_sub = check.add_subparsers(dest="subcommand", required=True)
-    cs = check_sub.add_parser("submersion", help="sweep base candidates for a total space")
-    cs.add_argument("--total", required=True)
-    cs.add_argument("--max-base-dim", type=int, required=True)
-    cs.add_argument("--coeffs", default=None)
-    cs.add_argument("--live-table", action="store_true",
-                    help="audit the pinned rank-vector table against the enumerator first")
-    cs.set_defaults(handler=_cmd_check_submersion)
-
-    rp = sub.add_parser("reproduce", help="pinned headline reports")
-    spelled = {name: alias for alias, name in _TARGET_ALIASES.items()}
-    rp.add_argument("target", choices=[spelled.get(t, t) for t in REPRODUCE_TARGETS])
-    rp.set_defaults(handler=_cmd_reproduce)
-
-    return parser
+# the README's usage block, word for word (tests/test_cli.py compares them)
+USAGE = """\
+sullivan model check FILE [--max-degree N] [--require-minimal] [--require-simply-connected]
+sullivan model cohomology FILE --max-degree N [--format text|tree]
+sullivan elliptic enumerate --dim N [--no-prune] [--coeffs SET]
+sullivan fibration fiber-ranks --total SPEC --base SPEC
+sullivan fibration wang --sphere N --total SPEC --fiber-dim N [--known k=v,...]
+sullivan check submersion --total NAME|FILE --max-base-dim N [--coeffs SET] [--live-table]
+sullivan reproduce table1|prop31|prop32|prop41|prop42|theorem-a|theorem-b
+"""
 
 
-def _glue_coeffs(argv: list[str]) -> list[str]:
-    """Read `--coeffs -1,0,1` as `--coeffs=-1,0,1`: argparse takes a value
-    that starts with '-' for an option and leaves --coeffs without one."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--coeffs" and not arg.startswith("--"):
-            out[-1] = f"--coeffs={arg}"
+def _one_of(*choices: str):
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+    return convert
+
+
+# command words -> (handler, positionals as (name, converter) pairs,
+# options as flag -> (converter, required)); a switch's converter is None
+COMMANDS = {
+    ("model", "check"): (_cmd_model_check, [("file", str)], {
+        "--max-degree": (_degree, False),
+        "--require-minimal": (None, False), "--require-simply-connected": (None, False)}),
+    ("model", "cohomology"): (_cmd_model_cohomology, [("file", str)], {
+        "--max-degree": (_degree, True), "--format": (_one_of("text", "tree"), False)}),
+    ("elliptic", "enumerate"): (_cmd_elliptic_enumerate, [], {
+        "--dim": (_degree, True), "--no-prune": (None, False), "--coeffs": (str, False)}),
+    ("fibration", "fiber-ranks"): (_cmd_fibration_fiber_ranks, [], {
+        "--total": (str, True), "--base": (str, True)}),
+    ("fibration", "wang"): (_cmd_fibration_wang, [], {
+        "--sphere": (int, True), "--total": (str, True), "--fiber-dim": (int, True),
+        "--known": (str, False)}),
+    ("check", "submersion"): (_cmd_check_submersion, [], {
+        "--total": (str, True), "--max-base-dim": (int, True), "--coeffs": (str, False),
+        "--live-table": (None, False)}),
+    ("reproduce",): (_cmd_reproduce, [("target", _one_of(*(
+        {name: alias for alias, name in _TARGET_ALIASES.items()}.get(t, t)
+        for t in REPRODUCE_TARGETS)))], {}),
+}
+
+
+def _parse(argv: list[str]):
+    """The handler and arguments that argv names; ValueError on a usage error.
+
+    `--opt value` equals `--opt=value`, and the value is the next word even
+    when it starts with '-', as in `--coeffs -1,0,1`.  The last repeat wins.
+    """
+    key = tuple(argv[:2]) if tuple(argv[:2]) in COMMANDS else tuple(argv[:1])
+    if key not in COMMANDS:
+        raise ValueError(f"unknown command {' '.join(argv[:2])!r}" if argv else "no command given")
+    handler, positionals, options = COMMANDS[key]
+    values = {flag: None if convert else False for flag, (convert, _) in options.items()}
+    words, rest = iter(argv[len(key):]), []
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if not word.startswith("-"):
+            rest.append(word)
+        elif flag not in options:
+            raise ValueError(f"unknown option {flag}")
+        elif options[flag][0] is None:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            values[flag] = True
         else:
-            out.append(arg)
-    return out
+            if not eq:
+                value = next(words, None)
+                if value is None:
+                    raise ValueError(f"{flag} needs a value")
+            try:
+                values[flag] = options[flag][0](value)
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
+    missing = [flag for flag, (_, required) in options.items() if required and values[flag] is None]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    if len(rest) != len(positionals):
+        raise ValueError(f"{' '.join(key)} takes {len(positionals)} argument(s), got {len(rest)}")
+    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    args.update((name, convert(word)) for (name, convert), word in zip(positionals, rest))
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        args = parser.parse_args(_glue_coeffs(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        # argparse prints usage itself; normalize its failure code to 2
-        return 0 if exc.code in (0, None) else 2
+        handler, args = _parse(argv)
+    except ValueError as exc:
+        print(f"{USAGE}error: {exc}", file=sys.stderr)
+        return 2
     try:
-        return args.handler(args)
+        return handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import pytest
 from sullivan.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 CP2_TEXT = """space CP2 {
     generator x2 : 2;
@@ -220,6 +221,11 @@ class TestEllipticEnumerate:
         assert code == 2
         assert "coefficient set" in err
 
+    def test_negative_dim_exits_2(self, capsys):
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: --dim: must not be negative, got -1"
+
     def test_empty_coeffs_exits_2(self, capsys):
         # an empty value is a bad box, not a request for the default
         code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "4", "--coeffs=")
@@ -271,6 +277,14 @@ class TestFibration:
                            "--known", "1:0")
         assert code == 2
         assert "--known" in err
+
+    def test_wang_negative_known_exits_2(self, capsys):
+        # a negative Betti number pins no profile; it is bad input, not "0 profile(s)"
+        code, out, err = run(capsys, "fibration", "wang", "--sphere", "3",
+                             "--total", "S2xS3", "--fiber-dim", "2",
+                             "--known", "0=-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad --known entry '0=-1'")
 
 
 class TestCheckSubmersion:
@@ -357,15 +371,67 @@ class TestReproduce:
         assert code == 2
 
 
+def readme_usage() -> str:
+    section = README.read_text().split("## Command line", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0]
+
+
 class TestUsage:
     def test_no_arguments_exits_2(self, capsys):
-        assert run(capsys, )[0] == 2
+        code, out, err = run(capsys, )
+        assert (code, out) == (2, "")
+        assert err.startswith(readme_usage())
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(capsys, "elliptic", "oops")[0] == 2
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [("--help",), ("elliptic", "enumerate", "-h")])
+    def test_help_prints_the_readme_usage_block(self, capsys, argv):
+        assert run(capsys, *argv) == (0, readme_usage(), "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--dimm", "4"), "unknown option --dimm"),
+        (("--dim",), "--dim needs a value"),
+        (("--dim", "x"), "--dim: expected an integer, got 'x'"),
+        (("--dim", "3", "--no-prune=1"), "--no-prune takes no value"),
+    ])
+    def test_bad_option_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "elliptic", "enumerate", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(readme_usage())
+        assert err.splitlines()[-1] == f"error: {message}"
+
+    def test_repeated_option_takes_last_value(self, capsys):
+        code, out, _ = run(capsys, "elliptic", "enumerate", "--dim", "9", "--dim", "3")
+        assert (code, out) == (0, "{3:1}\n")
+
+    def test_format_value_after_equals_sign(self, capsys, cp2_file):
+        spaced = run(capsys, "model", "cohomology", cp2_file, "--max-degree", "4",
+                     "--format", "tree")
+        joined = run(capsys, "model", "cohomology", cp2_file, "--max-degree", "4",
+                     "--format=tree")
+        assert spaced == joined
+        assert spaced[0] == 0
+
+
+def test_cli_call_imports_no_argparse():
+    # a fresh interpreter, since pytest itself imports argparse; what the
+    # interpreter's own startup imported (site hooks may pull in shutil) does
+    # not count against the package
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "before = set(sys.modules)\n"
+         "import sullivan.cli\n"
+         "sullivan.cli.main(['elliptic', 'enumerate', '--dim', '2'])\n"
+         "print(sorted({'argparse', 'shutil', 'gettext'} & (set(sys.modules) - before)))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["{2:1, 3:1}", "[]"]
 
 
 def test_console_script_installed():
