@@ -157,8 +157,9 @@ def wang_fiber_betti(
     for a fibration over an n-sphere.
 
     Endpoints are pinned to b_0 = b_fiber_dim = 1 with nothing above
-    fiber_dim; known_fiber adds further pins and upper_bounds caps
-    individual degrees.  Results are canonically ordered.
+    fiber_dim; known_fiber adds further pins, each in a degree 0..fiber_dim
+    (ValueError otherwise), and upper_bounds caps individual degrees.
+    Results are canonically ordered.
     """
     if sphere_dim < 2:
         raise ValueError("sphere dimension must be at least 2")
@@ -166,6 +167,8 @@ def wang_fiber_betti(
         raise ValueError("fiber dimension must be nonnegative")
     pins: dict[int, int] = {0: 1, fiber_dim: 1}
     for k, v in (known_fiber or {}).items():
+        if not 0 <= k <= fiber_dim:
+            raise ValueError(f"known fiber Betti number in degree {k} outside 0..{fiber_dim}")
         if k in pins and pins[k] != v:
             return []
         pins[k] = v

@@ -6,11 +6,14 @@ each step finds the leftmost pivot column without rescanning every
 row, and among the rows leading there it takes the one with fewest
 nonzeros to limit fill-in.  Every computation is exact, so ranks and
 solvability verdicts carry no numerical caveats.  A `RationalMatrix` is
-eliminated once: `rref` records its row operations as it goes, and
-`rank`, `nullspace_basis` and `solve` all read that one elimination,
-`solve` by replaying the operations on the right-hand side alone.
-`extend_echelon` grows an echelon form one batch of vectors at a time
-in integer arithmetic, for ranks that a search updates node by node.
+ranked by `extend_echelon`, a fraction-free echelon form in integer
+arithmetic that keeps no reduced rows and no row operations; the same
+routine grows an echelon form one batch of vectors at a time for ranks
+that a search updates node by node.  `rref` is for `solve` and the
+nullspaces: it eliminates a matrix once, records its row operations as
+it goes, and `nullspace_basis` and `solve` both read that one
+elimination, `solve` by replaying the operations on the right-hand side
+alone.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ class RationalMatrix:
         self.rows = [dict(r) for r in rows]
         self.ncols = ncols
         self._rref: tuple[list[SparseVec], list[int]] | None = None
+        self._rank: int | None = None
         self._steps: list[Step] = []
         self._left_nullspace: list[SparseVec] | None = None
 
@@ -78,13 +82,20 @@ class RationalMatrix:
 
     def rref(self) -> tuple[list[SparseVec], list[int]]:
         """Reduced row echelon form: (rows, pivot column per row).  The one
-        elimination of this matrix; its row operations are kept for `solve`."""
+        rational elimination of this matrix, for `solve` and the
+        nullspaces; its row operations are kept for `solve`."""
         if self._rref is None:
             self._rref = rref([dict(r) for r in self.rows], self._steps)
         return self._rref
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Exact rank, computed once: the pivot count of the `rref` when the
+        matrix already has one, else the length of a fraction-free
+        `extend_echelon` of its rows, which leaves the rows as they are."""
+        if self._rank is None:
+            leads = self._rref[1] if self._rref else extend_echelon({}, self.rows, self.ncols)
+            self._rank = len(leads)
+        return self._rank
 
     def solve(self, rhs: SparseVec | Sequence) -> list[Fraction] | None:
         """One solution y of (self) y = rhs, free variables 0; None if none.

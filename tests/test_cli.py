@@ -286,6 +286,15 @@ class TestFibration:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad --known entry '0=-1'")
 
+    @pytest.mark.parametrize("pin, degree", [("5=1", "5"), ("-1=0", "-1")])
+    def test_wang_known_outside_fiber_degrees_exits_2(self, capsys, pin, degree):
+        # a pin the sequence cannot read is an error, not a silently dropped constraint
+        code, out, err = run(capsys, "fibration", "wang", "--sphere", "3",
+                             "--total", "S2xS3", "--fiber-dim", "2",
+                             "--known", pin)
+        assert (code, out) == (2, "")
+        assert f"degree {degree} outside 0..2" in err
+
 
 class TestCheckSubmersion:
     def test_survivors_reported(self, capsys):

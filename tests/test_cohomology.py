@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from sullivan import linalg
 from sullivan.algebra import SullivanModel
 from sullivan.cohomology import (
     BettiTable,
@@ -210,3 +212,46 @@ class TestEuler:
     def test_matrix_is_cached(self):
         m = sphere(2)
         assert coboundary_matrix(m, 3) is coboundary_matrix(m, 3)
+
+
+def seeded_square_pure(seed):
+    """d(y1) = x1^3 + a*x1^2*x2 + b*x1*x3, d(y2) = x2^2 + c*x3, d(y3) = x3^2
+    with |x1| = |x2| = 2, |x3| = 4 and seeded nonzero a, b, c.  The leading
+    terms x1^3, x2^2, x3^2 are pairwise coprime under lex order, so the
+    d(y_i) form a regular sequence and H = Q[x]/(d(y)) has Poincare
+    polynomial (1 + t^2 + t^4)(1 + t^2)(1 + t^4), formal dimension 10."""
+    rng = random.Random(seed)
+    a, b, c = (Fraction(rng.choice((-7, -3, -2, 2, 3, 5)), rng.randint(1, 3)) for _ in range(3))
+    free = SullivanModel.free(
+        [("x1", 2), ("x2", 2), ("x3", 4), ("y1", 5), ("y2", 3), ("y3", 7)]
+    )
+    x1, x2, x3 = (free.gen(g) for g in ("x1", "x2", "x3"))
+    return free.with_differentials({
+        "y1": x1 ** 3 + a * x1 ** 2 * x2 + b * x1 * x3,
+        "y2": x2 ** 2 + c * x3,
+        "y3": x3 ** 2,
+    })
+
+
+def counted(monkeypatch, name):
+    """Wrap linalg.<name> so each call is recorded; returns the record."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+class TestFractionFreeBetti:
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_betti_table_reads_ranks_without_rref(self, monkeypatch, seed):
+        rrefs = counted(monkeypatch, "rref")
+        echelons = counted(monkeypatch, "extend_echelon")
+        poincare = convolve(convolve([1, 0, 1, 0, 1], [1, 0, 1]), [1, 0, 0, 0, 1])
+        assert betti_table(seeded_square_pure(seed), 12).values == tuple(poincare + [0, 0])
+        assert not rrefs
+        assert echelons

@@ -264,6 +264,12 @@ class TestWang:
         with pytest.raises(ValueError):
             wang_fiber_betti(2, self.TOTAL, -1)
 
+    @pytest.mark.parametrize("degree", [-1, 6, 9])
+    def test_pin_outside_fiber_degrees_rejected(self, degree):
+        # b_6 = 1 contradicts a 5-dimensional fiber; it must not be dropped
+        with pytest.raises(ValueError, match=f"degree {degree} outside 0..5"):
+            wang_fiber_betti(2, self.TOTAL, 5, known_fiber={1: 0, degree: 1})
+
 
 # brute-force cross-check ----------------------------------------------------
 

@@ -53,6 +53,19 @@ def matvec(rows, y):
     }
 
 
+def counted(monkeypatch, name):
+    """Wrap linalg.<name> so each call is recorded; returns the record."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
 class TestVectors:
     def test_from_dense_drops_zeros(self):
         assert vec_from_dense([0, 1, 0, Fraction(2, 3)]) == {1: 1, 3: Fraction(2, 3)}
@@ -219,14 +232,7 @@ class TestNullspace:
 class TestSingleElimination:
     @pytest.mark.parametrize("solve_first", [True, False])
     def test_queries_share_one_rref(self, monkeypatch, solve_first):
-        calls = []
-        original = linalg.rref
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "rref", counting)
+        calls = counted(monkeypatch, "rref")
         rng = random.Random(11)
         rows = random_sparse(rng, 7, 6)
         rows[2] = {j: 2 * v for j, v in rows[0].items()}
@@ -249,3 +255,63 @@ class TestSingleElimination:
         assert len(calls) == 1
         assert m.rows == before
         assert m.rref() == snapshot
+
+
+def rank_case(rng):
+    """Sparse rows with fractional entries, plus zero rows and rows that
+    repeat earlier ones, some rescaled; returns them and the column count."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 8)
+    rows = random_sparse(rng, nrows, ncols, density=rng.choice((0.2, 0.4, 0.7)))
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.random()
+        if kind < 0.3:
+            row = {}
+        else:
+            c = Fraction(1) if kind < 0.6 else Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+            row = {j: c * v for j, v in rng.choice(rows).items()}
+        rows.insert(rng.randint(0, len(rows)), row)
+    return rows, ncols
+
+
+class TestFractionFreeRank:
+    def test_matches_dense_oracle_before_and_after_rref(self, monkeypatch):
+        """rank() equals the dense oracle whether it runs first (the
+        fraction-free echelon) or after rref()/solve() (the pivot count)."""
+        echelons = counted(monkeypatch, "extend_echelon")
+        rng = random.Random(1919)
+        seen = {"fraction": 0, "zero_row": 0, "repeated": 0, "deficient": 0}
+        for _ in range(300):
+            rows, ncols = rank_case(rng)
+            want = dense_rank_oracle(rows, ncols)
+            first = RationalMatrix(rows, ncols)
+            assert first.rank() == want
+            first.rref()
+            assert first.rank() == want
+            for query in (lambda m: m.rref(), lambda m: m.solve({0: Fraction(1)})):
+                after = RationalMatrix(rows, ncols)
+                query(after)
+                calls = len(echelons)
+                assert after.rank() == want
+                assert len(echelons) == calls
+            seen["fraction"] += any(v.denominator > 1 for r in rows for v in r.values())
+            seen["zero_row"] += any(not r for r in rows)
+            seen["repeated"] += len({frozenset(r.items()) for r in rows}) < len(rows)
+            seen["deficient"] += want < min(len(rows), ncols)
+        assert min(seen.values()) >= 50, seen
+
+    def test_rank_leaves_rows_and_computes_once(self, monkeypatch):
+        echelons = counted(monkeypatch, "extend_echelon")
+        rrefs = counted(monkeypatch, "rref")
+        rows = [
+            {0: Fraction(1, 2), 2: Fraction(-3)},
+            {0: Fraction(1), 2: Fraction(-6)},
+            {},
+            {1: Fraction(2, 3), 2: Fraction(1)},
+        ]
+        m = RationalMatrix(rows, 3)
+        before = [dict(r) for r in m.rows]
+        assert m.rank() == 2
+        assert m.rank() == 2
+        assert (len(echelons), len(rrefs)) == (1, 0)
+        assert m.rows == before
+        assert all(type(v) is Fraction for r in m.rows for v in r.values())
