@@ -32,30 +32,80 @@ d is a derivation, so d(x) is affine in the coefficients of d(z)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from operator import add, attrgetter
 
 Scalar = Fraction | int
 
 ORIGINS = ("plain", "base", "fiber")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class _Record:
+    """Base of the package's records.
+
+    A record's fields are the names in its class's `__slots__` (a
+    `__dict__` there holds cached properties only), and its `__init__`
+    sets them.  Two records are equal when they are of one class and their
+    field tuples are equal; repr lists the fields.  A `_Record` is mutable
+    and unhashable, a `_Value` frozen and hashed as its field tuple, as
+    dataclasses would make them.  They are written by hand so that
+    importing the package generates no code and loads neither
+    `dataclasses` nor `typing`.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        if fields:  # _Value adds behaviour, not fields
+            get = attrgetter(*fields)
+            cls._fields = fields
+            cls._astuple = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Value(_Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as __setattr__ refuses
+        return self.__class__, self._astuple(self)
+
+
+class GeneratorSpec(_Value):
     """One algebra generator: a name, a positive degree, and an origin tag.
 
     The origin tag ("base" / "fiber" / "plain") only matters for relative
     models, where quotienting by base generators must be possible.
     """
 
-    name: str
-    degree: int
-    origin: str = "plain"
+    __slots__ = ("name", "degree", "origin")
 
-    def __post_init__(self):
+    def __init__(self, name: str, degree: int, origin: str = "plain"):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "origin", origin)
         if not self.name or not self.name.isidentifier():
             raise ValueError(f"generator name must be an identifier: {self.name!r}")
         if self.degree < 1:
@@ -68,15 +118,17 @@ class GeneratorSpec:
         return self.degree % 2 == 1
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value):
     """A canonical-form monomial: ((name, exponent), ...) in declaration order.
 
     The unit monomial is the empty tuple.  Instances are only meaningful
     relative to a model (the model supplies degrees and ordering).
     """
 
-    exps: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("exps",)
+
+    def __init__(self, exps: tuple[tuple[str, int], ...] = ()):
+        object.__setattr__(self, "exps", exps)
 
     @property
     def is_unit(self) -> bool:
@@ -229,8 +281,7 @@ class Element:
 DiffTable = tuple[tuple[str, tuple[tuple[Monomial, Fraction], ...]], ...]
 
 
-@dataclass(frozen=True)
-class SullivanModel:
+class SullivanModel(_Value):
     """An immutable free graded-commutative model with differential.
 
     `generators` fixes the declaration order used for canonical monomial
@@ -240,10 +291,11 @@ class SullivanModel:
     `with_differentials(...)`.
     """
 
-    generators: tuple[GeneratorSpec, ...]
-    diff: DiffTable = ()
+    __slots__ = ("generators", "diff", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple[GeneratorSpec, ...], diff: DiffTable = ()):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "diff", diff)
         seen = set()
         for g in self.generators:
             if g.name in seen:
@@ -289,8 +341,8 @@ class SullivanModel:
 
     @cached_property
     def _tables(self) -> "_Tables":
-        # compiled on first use; an instance attribute, so it dies with the
-        # model and stays out of the dataclass's == and hash
+        # compiled on first use; kept in the instance __dict__, so it dies
+        # with the model and, not being a field, stays out of == and hash
         return _Tables(self)
 
     @property
@@ -540,15 +592,24 @@ class _Tables:
 # -- validation ----------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of the structural checks on a model."""
 
-    ok: bool
-    d_squared_failures: list[tuple[str, str]] = field(default_factory=list)
-    degree_failures: list[tuple[str, str]] = field(default_factory=list)
-    nonminimal_terms: list[tuple[str, str]] = field(default_factory=list)
-    messages: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "d_squared_failures", "degree_failures", "nonminimal_terms", "messages")
+
+    def __init__(
+        self,
+        ok: bool,
+        d_squared_failures: list[tuple[str, str]] | None = None,
+        degree_failures: list[tuple[str, str]] | None = None,
+        nonminimal_terms: list[tuple[str, str]] | None = None,
+        messages: list[str] | None = None,
+    ):
+        self.ok = ok
+        self.d_squared_failures = [] if d_squared_failures is None else d_squared_failures
+        self.degree_failures = [] if degree_failures is None else degree_failures
+        self.nonminimal_terms = [] if nonminimal_terms is None else nonminimal_terms
+        self.messages = [] if messages is None else messages
 
     def summary(self) -> str:
         if self.ok:
@@ -686,8 +747,8 @@ def search_differentials(
     gens: Sequence[GeneratorSpec],
     options: Callable[[SearchPath], tuple[Sequence[Monomial], Iterable[tuple[int, Sequence[Scalar]]]]],
     node: Callable[[SearchPath, SullivanModel], bool],
-    leaf: Callable[[SearchPath, SullivanModel], Any],
-) -> tuple[Any, int]:
+    leaf: Callable[[SearchPath, SullivanModel], object],
+) -> tuple[object, int]:
     """Depth-first search over the differentials of gens, in their order;
     model has d = 0 on gens.
 
@@ -709,7 +770,7 @@ def search_differentials(
     path: SearchPath = []
     dropped = 0
 
-    def walk(current: SullivanModel, pending: list) -> Any:
+    def walk(current: SullivanModel, pending: list) -> object:
         nonlocal dropped
         if not node(path, current):
             return None

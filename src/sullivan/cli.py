@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 from .algebra import validate_model
@@ -63,7 +62,8 @@ def _degree(text: str) -> int:
 
 def _read_model(path: str):
     try:
-        text = Path(path).read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror or exc}")
     return parse_document(text)

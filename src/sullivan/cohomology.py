@@ -9,11 +9,10 @@ candidate when it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Monomial, SullivanModel
+from .algebra import Element, Monomial, SullivanModel, _Record, _Value
 from .linalg import RationalMatrix, SparseVec, vec_dot
 
 
@@ -71,11 +70,13 @@ def betti(model: SullivanModel, k: int) -> int:
     return dim_k - rank_out - rank_in
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Value):
     """Betti numbers b_0..b_top as a tuple."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, k: int) -> int:
         return self.values[k] if 0 <= k < len(self.values) else 0
@@ -88,8 +89,7 @@ def betti_table(model: SullivanModel, top: int) -> BettiTable:
     return BettiTable(tuple(betti(model, k) for k in range(top + 1)))
 
 
-@dataclass
-class CoboundaryVerdict:
+class CoboundaryVerdict(_Record):
     """Answer to "is this cocycle exact", with a certificate either way.
 
     Exact: `witness` satisfies d(witness) = candidate.  Not exact:
@@ -97,9 +97,17 @@ class CoboundaryVerdict:
     coboundary, nonzero on the candidate (stored over basis monomials).
     """
 
-    is_coboundary: bool
-    witness: Element | None = None
-    functional: dict[Monomial, Fraction] | None = None
+    __slots__ = ("is_coboundary", "witness", "functional")
+
+    def __init__(
+        self,
+        is_coboundary: bool,
+        witness: Element | None = None,
+        functional: dict[Monomial, Fraction] | None = None,
+    ):
+        self.is_coboundary = is_coboundary
+        self.witness = witness
+        self.functional = functional
 
 
 def is_coboundary(x: Element) -> CoboundaryVerdict:

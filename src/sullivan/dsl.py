@@ -18,11 +18,10 @@ nothing disappears silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
-from .algebra import Element, GeneratorSpec, Monomial, SullivanModel
+from .algebra import Element, GeneratorSpec, Monomial, SullivanModel, _Value
 
 KEYWORDS = ("space", "generator", "d", "base", "fiber")
 
@@ -43,12 +42,14 @@ class ParseError(Exception):
         super().__init__(where)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", "sym", "end"
-    text: str
-    line: int
-    col: int
+class Token(_Value):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)  # "ident", "int", "sym", "end"
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 def _tokenize(text: str) -> Iterator[Token]:
@@ -89,11 +90,13 @@ def _tokenize(text: str) -> Iterator[Token]:
     yield Token("end", "", line, col)
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    name: str
-    model: SullivanModel
-    notes: tuple[str, ...]
+class ModelDocument(_Value):
+    __slots__ = ("name", "model", "notes")
+
+    def __init__(self, name: str, model: SullivanModel, notes: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "notes", notes)
 
 
 class _Parser:
@@ -258,21 +261,21 @@ class _Parser:
             want = free.degree_of(target.text) + 1
             total: dict[Monomial, Fraction] = {}
             for coeff, factors, start in terms:
-                word: list[str] = []
                 degree = 0
                 for fname, power, ftok in factors:
                     if fname not in free.generator_index:
                         raise ParseError(
                             f"unknown generator {fname!r}", ftok.line, ftok.col
                         )
-                    word.extend([fname] * power)
                     degree += free.degree_of(fname) * power
+                # before the word is spelled out, which a huge power cannot be
                 if degree != want:
                     raise ParseError(
                         f"d({target.text}) needs degree {want}, term has degree {degree}",
                         start.line,
                         start.col,
                     )
+                word = [fname for fname, power, _ in factors for _ in range(power)]
                 mon, sgn = free.normalize_word(word)
                 if mon is None:
                     pretty = "*".join(

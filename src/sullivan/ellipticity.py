@@ -26,30 +26,31 @@ condition, and no others.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     Element,
     GeneratorSpec,
     SullivanModel,
+    _Record,
+    _Value,
     coefficient_box,
     search_differentials,
 )
 from .linalg import extend_echelon
 
 
-@dataclass(frozen=True)
-class RankVector:
+class RankVector(_Value):
     """Sparse map degree -> rank, degrees ascending, zero ranks dropped."""
 
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
+    def __init__(self, counts: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "counts", counts)
         degs = [d for d, _ in self.counts]
         if degs != sorted(set(degs)):
             raise ValueError("degrees must be strictly ascending")
@@ -243,8 +244,7 @@ def sac_violation(f: RankVector) -> tuple[int, ...] | None:
 # -- realizability search -------------------------------------------------
 
 
-@dataclass
-class RealizabilityVerdict:
+class RealizabilityVerdict(_Record):
     """Result of the decision for one rank vector over a coefficient box.
 
     status is "realized" (model present: a pure model certified to have
@@ -256,11 +256,21 @@ class RealizabilityVerdict:
     coefficient set and, for a pure witness, the attempt that found it.
     """
 
-    status: str
-    f: RankVector
-    model: SullivanModel | None = None
-    examined: int = 0
-    note: str = ""
+    __slots__ = ("status", "f", "model", "examined", "note")
+
+    def __init__(
+        self,
+        status: str,
+        f: RankVector,
+        model: SullivanModel | None = None,
+        examined: int = 0,
+        note: str = "",
+    ):
+        self.status = status
+        self.f = f
+        self.model = model
+        self.examined = examined
+        self.note = note
 
 
 def generators_for(

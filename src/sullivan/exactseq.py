@@ -14,9 +14,9 @@ rank as state instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
+from .algebra import _Value
 from .cohomology import BettiTable
 from .ellipticity import RankVector, canonical_sorted
 
@@ -25,23 +25,25 @@ class UnboundedProblemError(ValueError):
     """Raised when consecutive unknown slots leave a dimension unbounded."""
 
 
-@dataclass(frozen=True)
-class Slot:
-    label: str
-    dimension: int | None  # None marks an unknown
+class Slot(_Value):
+    __slots__ = ("label", "dimension")
+
+    def __init__(self, label: str, dimension: int | None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "dimension", dimension)  # None marks an unknown
 
     @property
     def known(self) -> bool:
         return self.dimension is not None
 
 
-@dataclass(frozen=True)
-class ExactSequenceProblem:
+class ExactSequenceProblem(_Value):
     """Slots of an exact sequence, ends pinned to zero."""
 
-    slots: tuple[Slot, ...]
+    __slots__ = ("slots",)
 
-    def __post_init__(self):
+    def __init__(self, slots: tuple[Slot, ...]):
+        object.__setattr__(self, "slots", slots)
         if len(self.slots) < 3:
             raise ValueError("an exact-sequence problem needs at least 3 slots")
         for end in (self.slots[0], self.slots[-1]):
@@ -56,12 +58,14 @@ class ExactSequenceProblem:
         return cls(tuple(Slot(label, dim) for label, dim in entries))
 
 
-@dataclass(frozen=True)
-class RankSolution:
+class RankSolution(_Value):
     """All slot dimensions plus the rank of every arrow between them."""
 
-    dimensions: tuple[int, ...]
-    map_ranks: tuple[int, ...]
+    __slots__ = ("dimensions", "map_ranks")
+
+    def __init__(self, dimensions: tuple[int, ...], map_ranks: tuple[int, ...]):
+        object.__setattr__(self, "dimensions", dimensions)
+        object.__setattr__(self, "map_ranks", map_ranks)
 
     def alternating_sum(self) -> int:
         return sum((-1) ** i * d for i, d in enumerate(self.dimensions))

@@ -18,10 +18,10 @@ alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 SparseVec = dict[int, Fraction]
 IntVec = dict[int, int]

@@ -25,16 +25,16 @@ without re-running any search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Any, Mapping, Sequence
 
 from .algebra import (
     Element,
     GeneratorSpec,
     Monomial,
     SullivanModel,
+    _Value,
     coefficient_box,
     search_differentials,
 )
@@ -115,16 +115,26 @@ def _build_model(factors: Sequence[tuple[str, int]]) -> SullivanModel:
     return model.with_differentials({t: model.gen(s) ** e for t, s, e in rules})
 
 
-@dataclass(frozen=True)
-class SpaceCatalogEntry:
+class SpaceCatalogEntry(_Value):
     """A pinned witness space: rank vector, dimension, explicit model."""
 
-    name: str
-    rank_vector: RankVector
-    dim: int
-    model: SullivanModel
-    aliases: tuple[str, ...] = ()
-    table_row: bool = True
+    __slots__ = ("name", "rank_vector", "dim", "model", "aliases", "table_row", "__dict__")
+
+    def __init__(
+        self,
+        name: str,
+        rank_vector: RankVector,
+        dim: int,
+        model: SullivanModel,
+        aliases: tuple[str, ...] = (),
+        table_row: bool = True,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank_vector", rank_vector)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "aliases", aliases)
+        object.__setattr__(self, "table_row", table_row)
 
     @classmethod
     def of(
@@ -221,8 +231,7 @@ def model_from_data(data: Mapping) -> SullivanModel:
 
 # -- kill certificates -------------------------------------------------------
 
-@dataclass(frozen=True)
-class KillCertificate:
+class KillCertificate(_Value):
     """A machine-checkable reason a fiber case cannot occur.
 
     detail is JSON-ready and self-contained: revalidate() recomputes each
@@ -230,10 +239,11 @@ class KillCertificate:
     search that produced the certificate.
     """
 
-    kind: str
-    detail: dict
+    __slots__ = ("kind", "detail")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, detail: dict):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
         if self.kind not in CERTIFICATE_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
@@ -414,14 +424,18 @@ def _coeff_tuple(coeff_set: Sequence) -> tuple[Fraction, ...]:
     return tuple(sorted(cs, key=lambda c: (c != 0, c)))
 
 
-@dataclass(frozen=True)
-class RelativeWitness:
+class RelativeWitness(_Value):
     """A differential assignment matching the target cohomology, and the
     number of points the search dropped by the d*d check on its way."""
 
-    model: SullivanModel
-    assignment: tuple[tuple[str, Element], ...]
-    rejected_invalid: int
+    __slots__ = ("model", "assignment", "rejected_invalid")
+
+    def __init__(
+        self, model: SullivanModel, assignment: tuple[tuple[str, Element], ...], rejected_invalid: int
+    ):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "rejected_invalid", rejected_invalid)
 
     def assignment_text(self) -> dict[str, str]:
         return {name: str(e) for name, e in self.assignment}
@@ -535,7 +549,7 @@ def check_relative_cohomology(
         want = target[k]
         if got == want:
             continue
-        row: dict[str, Any] = {"degree": k, "computed": got, "required": want}
+        row: dict[str, object] = {"degree": k, "computed": got, "required": want}
         if got > want:
             classes, image_rank, image = _witness_classes(scan_model, k, limit=3)
             row["witnesses"] = classes
@@ -564,21 +578,31 @@ def check_relative_cohomology(
 
 # -- end-to-end analysis -----------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberVerdict:
-    fiber: RankVector
-    status: str  # "killed" | "survives-rationally"
-    certificate: KillCertificate | None = None
-    flags: tuple[str, ...] = ()
-    witness: dict | None = None
-    checks_run: tuple[str, ...] = ()
+class FiberVerdict(_Value):
+    __slots__ = ("fiber", "status", "certificate", "flags", "witness", "checks_run")
+
+    def __init__(
+        self,
+        fiber: RankVector,
+        status: str,
+        certificate: KillCertificate | None = None,
+        flags: tuple[str, ...] = (),
+        witness: dict | None = None,
+        checks_run: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "status", status)  # "killed" | "survives-rationally"
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "checks_run", checks_run)
 
     @property
     def survives(self) -> bool:
         return self.status == "survives-rationally"
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {
+        out: dict[str, object] = {
             "ranks": str(self.fiber),
             "verdict": self.status,
             "checks_run": list(self.checks_run),
@@ -591,13 +615,17 @@ class FiberVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class BaseAnalysis:
-    name: str
-    base: RankVector
-    dim: int
-    fiber_dim: int
-    verdicts: tuple[FiberVerdict, ...]
+class BaseAnalysis(_Value):
+    __slots__ = ("name", "base", "dim", "fiber_dim", "verdicts")
+
+    def __init__(
+        self, name: str, base: RankVector, dim: int, fiber_dim: int, verdicts: tuple[FiberVerdict, ...]
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "fiber_dim", fiber_dim)
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def survives(self) -> bool:
@@ -613,13 +641,22 @@ class BaseAnalysis:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    total_name: str
-    total: RankVector
-    total_dim: int
-    max_base_dim: int
-    entries: tuple[BaseAnalysis, ...]
+class ObstructionReport(_Value):
+    __slots__ = ("total_name", "total", "total_dim", "max_base_dim", "entries")
+
+    def __init__(
+        self,
+        total_name: str,
+        total: RankVector,
+        total_dim: int,
+        max_base_dim: int,
+        entries: tuple[BaseAnalysis, ...],
+    ):
+        object.__setattr__(self, "total_name", total_name)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total_dim", total_dim)
+        object.__setattr__(self, "max_base_dim", max_base_dim)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def survivors(self) -> tuple[BaseAnalysis, ...]:

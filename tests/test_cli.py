@@ -79,6 +79,14 @@ class TestModelCheck:
         assert code == 2
         assert "parse error" in err
 
+    def test_huge_power_exits_2_before_expanding(self, capsys, tmp_path):
+        # the degree is checked before x^(10^30) is spelled out as a word
+        path = tmp_path / "big.model"
+        path.write_text(f"space Big {{ generator x : 2; generator y : 3; d y = x^{10**30}; }}\n")
+        code, _, err = run(capsys, "model", "check", str(path))
+        assert code == 2
+        assert f"d(y) needs degree 4, term has degree {2 * 10**30}" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "model", "check", "/nonexistent/x.model")
         assert code == 2
