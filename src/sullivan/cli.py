@@ -8,7 +8,8 @@ stderr.
 
 Exit codes: 0 on success, 1 when a requested check finds a mathematical
 failure (invalid model, undecided enumeration, fully obstructed
-analysis, fixture drift), 2 on usage or parse errors.
+analysis, fixture drift) or, quietly, when stdout is closed early, 2 on
+usage or parse errors.
 """
 
 from __future__ import annotations
@@ -312,7 +313,18 @@ def _parse(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    try:
+        code = _main(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head -1` does: point it at devnull
+        # so that the flush at exit cannot fail again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str]) -> int:
     if "-h" in argv or "--help" in argv:
         print(USAGE, end="")
         return 0

@@ -1,37 +1,27 @@
 """Exact sparse linear algebra over Q.
 
 Vectors are dicts {index: Fraction} with zero entries absent; matrices
-hold sparse rows.  `rref` files its pending rows by lead column, so
-each step finds the leftmost pivot column without rescanning every
-row, and among the rows leading there it takes the one with fewest
-nonzeros to limit fill-in.  Every computation is exact, so ranks and
-solvability verdicts carry no numerical caveats.  A `RationalMatrix` is
-ranked by `extend_echelon`, a fraction-free echelon form in integer
-arithmetic that keeps no reduced rows and no row operations; the same
-routine grows an echelon form one batch of vectors at a time for ranks
-that a search updates node by node.  `rref` is for `solve` and the
-nullspaces: it eliminates a matrix once, records its row operations as
-it goes, and `nullspace_basis` and `solve` both read that one
-elimination, `solve` by replaying the operations on the right-hand side
-alone.
+hold sparse rows.  Every computation is exact, so ranks and solvability
+verdicts carry no numerical caveats.  There is one elimination,
+`extend_echelon`: a fraction-free echelon form in integer arithmetic
+(Bareiss, 1968), which also grows an echelon form one batch of vectors
+at a time for ranks that a search updates node by node.  A
+`RationalMatrix` is ranked by it directly.  `rref` turns it into the
+reduced row echelon form by back-substitution, for the nullspaces; and
+`solve` reads the reduced form of the matrix with an identity appended,
+[A | I], whose appended columns hold the row operations E with
+E A = rref(A), so that a right-hand side costs one product with E.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 SparseVec = dict[int, Fraction]
 IntVec = dict[int, int]
-# one elimination step: (pivot row, pivot column, scale of the pivot row,
-# target rows, their multipliers), rows as indices into rref's input
-Step = tuple[int, int, Fraction, list[int], list[Fraction]]
 
-
-def vec_from_dense(xs: Sequence) -> SparseVec:
-    return {i: Fraction(x) for i, x in enumerate(xs) if Fraction(x)}
 
 def vec_add_scaled(target: SparseVec, src: SparseVec, c: Fraction) -> None:
     """target += c * src, in place, dropping zeros."""
@@ -59,13 +49,10 @@ class RationalMatrix:
         self.ncols = ncols
         self._rref: tuple[list[SparseVec], list[int]] | None = None
         self._rank: int | None = None
-        self._steps: list[Step] = []
+        # column i of E, the row operations of the reduced [A | I]: the
+        # entries E[p][i] of each of its rows, keyed by the row's pivot p
+        self._inverse: list[SparseVec] | None = None
         self._left_nullspace: list[SparseVec] | None = None
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        ncols = max((len(r) for r in rows), default=0)
-        return cls([vec_from_dense(r) for r in rows], ncols)
 
     @property
     def nrows(self) -> int:
@@ -81,11 +68,10 @@ class RationalMatrix:
     # -- elimination -----------------------------------------------------
 
     def rref(self) -> tuple[list[SparseVec], list[int]]:
-        """Reduced row echelon form: (rows, pivot column per row).  The one
-        rational elimination of this matrix, for `solve` and the
-        nullspaces; its row operations are kept for `solve`."""
+        """Reduced row echelon form: (rows, pivot column per row), computed
+        once, for the nullspaces."""
         if self._rref is None:
-            self._rref = rref([dict(r) for r in self.rows], self._steps)
+            self._rref = rref(self.rows)
         return self._rref
 
     def rank(self) -> int:
@@ -100,26 +86,37 @@ class RationalMatrix:
     def solve(self, rhs: SparseVec | Sequence) -> list[Fraction] | None:
         """One solution y of (self) y = rhs, free variables 0; None if none.
 
-        The row operations of the elimination carry rhs to its reduced
-        form: its entry in a pivot row is y at that row's pivot column,
-        and a nonzero entry left in any other row (one the elimination
-        emptied) means the system is inconsistent.  An index of rhs
-        outside range(nrows) raises ValueError.
+        The first call reduces [A | I] once; its rows are (R | E) with
+        E A = R, R = rref(A) above its zero rows.  Then E rhs is the
+        reduced form of rhs: its entry at a pivot p of A is y[p], and a
+        nonzero entry at a row whose R part is zero (a pivot in I, so
+        that row of E is in the left kernel of A) means the system is
+        inconsistent.  E is kept by column, so a query costs as much as
+        the nonzero entries of rhs.  An index of rhs outside
+        range(nrows) raises ValueError.
         """
         if not isinstance(rhs, dict):
             rhs = dict(enumerate(rhs))
         bad = [i for i in rhs if not 0 <= i < self.nrows]
         if bad:
             raise ValueError(f"right-hand side index {bad[0]} outside range({self.nrows})")
-        self.rref()
-        b = {i: Fraction(c) for i, c in rhs.items() if c}
-        replay(self._steps, b)
-        y = [Fraction(0)] * self.ncols
-        for row, col, *_ in self._steps:
-            c = b.pop(row, None)
-            if c is not None:
-                y[col] = c
-        return None if b else y
+        n = self.ncols
+        if self._inverse is None:
+            reduced, pivots = rref([{**row, n + i: 1} for i, row in enumerate(self.rows)])
+            self._inverse = [{} for _ in self.rows]
+            for row, p in zip(reduced, pivots):
+                for j, e in row.items():
+                    if j >= n:
+                        self._inverse[j - n][p] = e
+        reduced_rhs: SparseVec = {}
+        for i, c in rhs.items():
+            vec_add_scaled(reduced_rhs, self._inverse[i], Fraction(c))
+        y = [Fraction(0)] * n
+        for p, c in reduced_rhs.items():
+            if p >= n:
+                return None
+            y[p] = c
+        return y
 
     def nullspace_basis(self) -> list[SparseVec]:
         """Basis of {v : (self) v = 0}, one vector per free column."""
@@ -144,82 +141,22 @@ class RationalMatrix:
         return self._left_nullspace
 
 
-def rref(rows: list[SparseVec], log: list[Step] | None = None) -> tuple[list[SparseVec], list[int]]:
-    """In-place reduced row echelon form of sparse rows.
+def rref(rows: Sequence[Mapping]) -> tuple[list[SparseVec], list[int]]:
+    """Reduced row echelon form of sparse rows, which are left as they are.
 
     Returns the nonzero rows and their pivot columns, in ascending pivot
-    order.  Pending rows are filed in buckets by lead column (their
-    smallest index), with a heap of the leads in use.  Each step pops the
-    smallest lead and takes the sparsest row of its bucket as pivot row.
-    No pending row leads further left, so only the other rows of that
-    bucket have an entry in the pivot column: they are reduced and filed
-    again under their new leads, or dropped once zero.  The rows placed
-    by earlier steps are cleared in the pivot column as well.  The
-    reduced form is unique, so which of several equally sparse rows
-    becomes the pivot row changes only the logged steps, not the result.
-
-    When log is given, every step is appended to it: the pivot row was
-    multiplied by the scale, then each target row had multiplier times
-    the pivot row subtracted.  `replay` applies the same steps to a
-    right-hand side.
+    order.  The rows are brought to echelon form by `extend_echelon`;
+    then, in descending lead order, each echelon row is divided by its
+    lead and has its entries at the larger pivots cleared against the
+    rows already reduced.  The reduced form is unique, so it does not
+    depend on the order of the rows.
     """
-    index = {id(r): i for i, r in enumerate(rows)} if log is not None else None
-    buckets: dict[int, list[SparseVec]] = {}
-    for r in rows:
-        if r:
-            buckets.setdefault(min(r), []).append(r)
-    leads = list(buckets)
-    heapify(leads)
-    placed: list[SparseVec] = []
-    pivots: list[int] = []
-    while leads:
-        lead = heappop(leads)
-        bucket = buckets.pop(lead)
-        pivot_row = min(bucket, key=len)
-        inv = Fraction(1) / pivot_row[lead]
-        if inv != 1:
-            for j in list(pivot_row):
-                pivot_row[j] *= inv
-        targets: list[int] = []
-        multipliers: list[Fraction] = []
-        others = [r for r in bucket if r is not pivot_row]
-        for r in placed + others:
-            c = r.get(lead)
-            if c:
-                vec_add_scaled(r, pivot_row, -c)
-                if index is not None:
-                    targets.append(index[id(r)])
-                    multipliers.append(c)
-        for r in others:
-            if r:
-                new = min(r)
-                if new in buckets:
-                    buckets[new].append(r)
-                else:
-                    buckets[new] = [r]
-                    heappush(leads, new)
-        if index is not None:
-            log.append((index[id(pivot_row)], lead, inv, targets, multipliers))
-        placed.append(pivot_row)
-        pivots.append(lead)
-    return placed, pivots
-
-
-def replay(steps: list[Step], b: SparseVec) -> None:
-    """Apply an elimination's row operations to b, in place: b is a
-    right-hand side indexed by the rows the steps were recorded on."""
-    for row, _, scale, targets, multipliers in steps:
-        v = b.get(row)
-        if not v:
-            continue
-        if scale != 1:
-            v = b[row] = v * scale
-        for t, c in zip(targets, multipliers):
-            new = b.get(t, 0) - c * v
-            if new:
-                b[t] = new
-            else:
-                b.pop(t, None)
+    reduced: dict[int, SparseVec] = {}
+    for lead, row in sorted(extend_echelon({}, rows, len(rows)).items(), reverse=True):
+        a = row[lead]
+        reduced[lead] = reduce_against(reduced, {j: Fraction(v, a) for j, v in row.items()})
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
 
 
 def extend_echelon(
@@ -273,11 +210,12 @@ def _content_free(row: IntVec) -> IntVec:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def reduce_against(rref_rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> SparseVec:
-    """Residue of vec modulo the row space of an rref (pivots normalized)."""
+def reduce_against(reduced: Mapping[int, SparseVec], vec: SparseVec) -> SparseVec:
+    """Residue of vec modulo the span of reduced rows keyed by pivot: each
+    row is 1 at its pivot and 0 at every other pivot, so clearing one pivot
+    of vec leaves its other pivot entries as they are, and only the pivots
+    vec holds are cleared."""
     out = dict(vec)
-    for row, p in zip(rref_rows, pivots):
-        c = out.get(p)
-        if c:
-            vec_add_scaled(out, row, -c)
+    for p in [p for p in vec if p in reduced]:
+        vec_add_scaled(out, reduced[p], -out[p])
     return out

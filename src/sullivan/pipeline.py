@@ -53,7 +53,7 @@ from .ellipticity import (
     rank_vector_of_model,
 )
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
-from .linalg import reduce_against, rref
+from .linalg import reduce_against, rref, vec_add_scaled
 
 TWO_SPHERE = RankVector.of({2: 1, 3: 1})
 
@@ -85,7 +85,7 @@ _CATALOG_ROWS: tuple = (
     ("CP3", ((_PROJ, 3),), (), True),
     ("S3xS3", ((_SPHERE, 3), (_SPHERE, 3)), (), True),
     ("S2xS4", ((_SPHERE, 2), (_SPHERE, 4)), (), True),
-    ("S2xCP2", ((_SPHERE, 2), (_PROJ, 2)), ("W6",), True),
+    ("S2xCP2", ((_SPHERE, 2), (_PROJ, 2)), (), True),
     ("S2xS2xS2", ((_SPHERE, 2), (_SPHERE, 2), (_SPHERE, 2)), (), True),
     ("S7", ((_SPHERE, 7),), (), True),
     ("S3xS4", ((_SPHERE, 3), (_SPHERE, 4)), (), True),
@@ -449,16 +449,15 @@ def _witness_classes(
     kernel = coboundary_matrix(model, k).nullspace_basis()
     image_rows: list = []
     if k > 0:
-        image_rows = [dict(r) for r in coboundary_matrix(model, k - 1).transpose().rows]
-    reduced, pivots = rref([dict(r) for r in image_rows])
+        image_rows = coboundary_matrix(model, k - 1).transpose().rows
+    reduced, pivots = rref(image_rows)
     image_rank = len(pivots)
     basis = model.basis_of_degree(k)
     image_monomials = [basis[p].format() for p in pivots]
     witnesses: list[str] = []
-    span = [dict(r) for r in reduced]
-    span_pivots = list(pivots)
+    span = dict(zip(pivots, reduced))
     for vec in kernel:
-        residue = reduce_against(span, span_pivots, vec)
+        residue = reduce_against(span, vec)
         if not residue:
             continue
         lead = min(residue)
@@ -466,8 +465,11 @@ def _witness_classes(
         witnesses.append(str(vector_to_element(model, scaled, k)))
         if len(witnesses) >= limit:
             break
-        # refold so later residues reduce against the grown span
-        span, span_pivots = rref(span + [scaled])
+        # grow the span by the residue, which is 0 at its pivots, and
+        # clear the residue's pivot from its rows, so the span stays reduced
+        for row in span.values():
+            vec_add_scaled(row, scaled, -row.get(lead, 0))
+        span[lead] = scaled
     return witnesses, image_rank, image_monomials
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, output formats, golden reports."""
 
+import fcntl
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -458,3 +460,19 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["target"] == "table1"
+
+
+def test_closed_stdout_exits_quietly():
+    # a pipe of one page, so the report (about 39 kB) cannot all be written
+    # before the reader closes it after the first line
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sullivan.cli", "reproduce", "prop31"],
+        stdout=write_end, stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    with open(read_end, "rb") as reader:
+        assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")

@@ -319,10 +319,10 @@ def random_columns(rng, ncols):
 
 
 def rank_of(vectors, ncols):
-    """Rank of vectors over range(ncols), from the pivots of the rational
-    `rref`: RationalMatrix.rank reads extend_echelon, so it would check
-    extend_echelon against itself."""
-    return len(rref([{j: Fraction(v) for j, v in vec.items() if v} for vec in vectors])[1])
+    """Rank of vectors over range(ncols), from the pivots of dense
+    Gauss-Jordan: RationalMatrix.rank and rref read extend_echelon, so
+    they would check extend_echelon against itself."""
+    return len(gauss_jordan_rref(vectors, ncols)[1])
 
 
 def assert_echelon_form(echelon):
@@ -335,7 +335,7 @@ def assert_echelon_form(echelon):
 class TestIncrementalEchelon:
     def test_against_rational_rank(self):
         """extend_echelon, in one step or several, has the rank of the
-        same vectors under the rational rref, keeps its input intact,
+        same vectors under dense Gauss-Jordan, keeps its input intact,
         and its rows span the vectors' space."""
         rng = random.Random(707)
         seen = {"fraction": 0, "zero": 0, "repeated": 0, "steps": 0, "full": 0}
@@ -441,10 +441,10 @@ def random_system(rng):
 
 class TestCachedSolve:
     def test_against_augmented_gauss_jordan(self):
-        """Every solve on one matrix (replaying its single elimination)
-        equals Gauss-Jordan on the augmented system, free variables 0:
-        for a consistent right-hand side A y, a random one, the zero one
-        and a dense one."""
+        """Every solve on one matrix (reading its single elimination of
+        [A | I]) equals Gauss-Jordan on the augmented system, free
+        variables 0: for a consistent right-hand side A y, a random one,
+        the zero one and a dense one."""
         rng = random.Random(808)
         seen = {"inconsistent": 0, "rank_deficient": 0, "fraction": 0, "zero_row": 0, "zero_col": 0}
         for _ in range(CASES):
@@ -471,6 +471,18 @@ class TestCachedSolve:
             seen["zero_col"] += any(all(j not in r for r in rows) for j in range(ncols))
         assert min(seen.values()) >= 100, seen
 
+    def test_dense_and_one_entry_rhs_on_rank_deficient_matrix(self):
+        """A dense right-hand side reads every column of the stored E, a
+        one-entry one a single column; both give Gauss-Jordan's y, and a
+        one-entry one off the column space gives None."""
+        rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(3)}, {0: Fraction(2), 1: Fraction(4)}, {}]
+        m = RationalMatrix(rows, 3)
+        assert m.rank() == 2
+        dense = [3, 3, 6, 0]
+        assert m.solve(dense) == gauss_jordan_solve(rows, 3, dict(enumerate(dense))) == [3, 0, 1]
+        assert m.solve({1: Fraction(3)}) == gauss_jordan_solve(rows, 3, {1: 3}) == [0, 0, 1]
+        assert m.solve({0: Fraction(1)}) is gauss_jordan_solve(rows, 3, {0: 1}) is None
+
 
 def tied_system(rng):
     """A sparse Fraction matrix whose rows share leads and lengths: leads
@@ -495,21 +507,21 @@ def tied_system(rng):
 
 class TestRrefOracle:
     def test_against_dense_gauss_jordan(self):
-        """rref, with and without a log, gives the reduced rows and pivots
-        of dense Gauss-Jordan on matrices where several rows share a lead
-        and a length, so that the pivot row is picked among ties; solve on
-        the logged elimination gives Gauss-Jordan's free-variables-0
-        solution for consistent and random right-hand sides."""
+        """rref, alone and on a RationalMatrix, gives the reduced rows and
+        pivots of dense Gauss-Jordan and leaves its rows as they are, on
+        matrices where several rows share a lead and a length; solve gives
+        Gauss-Jordan's free-variables-0 solution for consistent and random
+        right-hand sides."""
         rng = random.Random(1111)
         seen = {"tie": 0, "duplicate": 0, "zero_row": 0, "fraction": 0, "inconsistent": 0}
         for _ in range(CASES):
             rows, ncols = tied_system(rng)
             want = gauss_jordan_rref(rows, ncols)
-            assert rref([dict(r) for r in rows]) == want
-            log = []
-            assert rref([dict(r) for r in rows], log) == want
-            assert len(log) == len(want[1])
+            before = [dict(r) for r in rows]
+            assert rref(rows) == want
+            assert rows == before
             m = RationalMatrix(rows, ncols)
+            assert m.rref() == want
             y_true = [Fraction(rng.choice(FRACTIONS)) if rng.random() < 0.5 else 0 for _ in range(ncols)]
             consistent = {
                 i: s for i, r in enumerate(rows) if (s := sum(v * y_true[j] for j, v in r.items()))
