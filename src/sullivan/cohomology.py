@@ -38,7 +38,7 @@ def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
 
     Each column sums the terms of d on one basis monomial, read from the
     model's compiled differential and filed by exponent vector, so no
-    Element is built; the entries are stored as Fractions.
+    Element is built; an entry is an int where integral, else a Fraction.
     """
     tables = model._tables
     index = {
@@ -54,7 +54,8 @@ def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
             row = rows[i]
             row[j] = row.get(j, 0) + c
     return RationalMatrix(
-        [{j: Fraction(c) for j, c in row.items() if c} for row in rows], len(columns)
+        [{j: c.numerator if c.denominator == 1 else c for j, c in row.items() if c} for row in rows],
+        len(columns),
     )
 
 

@@ -176,6 +176,8 @@ def wang_fiber_betti(
         if k in pins and pins[k] != v:
             return []
         pins[k] = v
+    if fiber_dim + sphere_dim >= len(total_betti):  # b_(fiber_dim+n)(E) must be b_fiber_dim(F) = 1
+        return []
     caps = dict(upper_bounds or {})
     top = fiber_dim + sphere_dim + 1
     solutions: list[tuple[int, ...]] = []

@@ -6,11 +6,10 @@ verdicts carry no numerical caveats.  There is one elimination,
 `extend_echelon`: a fraction-free echelon form in integer arithmetic
 (Bareiss, 1968), which also grows an echelon form one batch of vectors
 at a time for ranks that a search updates node by node.  A
-`RationalMatrix` is ranked by it directly.  `rref` turns it into the
-reduced row echelon form by back-substitution, for the nullspaces; and
-`solve` reads the reduced form of the matrix with an identity appended,
-[A | I], whose appended columns hold the row operations E with
-E A = rref(A), so that a right-hand side costs one product with E.
+`RationalMatrix` is ranked by it directly.  `rref` reduces it by
+back-substitution, for the nullspace.  One reduction of the matrix with
+an identity appended, [A | I], gives `solve` the row operations E with
+E A = rref(A), and the left nullspace as its rows that vanish on A.
 """
 
 from __future__ import annotations
@@ -42,17 +41,16 @@ def vec_dot(a: SparseVec, b: SparseVec) -> Fraction:
 
 
 class RationalMatrix:
-    """Sparse rows over Q with exact elimination."""
+    """Sparse rows of exact rationals, int or Fraction, with exact elimination."""
 
     def __init__(self, rows: Iterable[SparseVec], ncols: int):
         self.rows = [dict(r) for r in rows]
         self.ncols = ncols
         self._rref: tuple[list[SparseVec], list[int]] | None = None
         self._rank: int | None = None
-        # column i of E, the row operations of the reduced [A | I]: the
-        # entries E[p][i] of each of its rows, keyed by the row's pivot p
-        self._inverse: list[SparseVec] | None = None
-        self._left_nullspace: list[SparseVec] | None = None
+        # from the reduced [A | I]: column i of E as {p: E[p][i]}, keyed by
+        # the pivot p of each row, and the left-kernel rows
+        self._augmented: tuple[list[SparseVec], list[SparseVec]] | None = None
 
     @property
     def nrows(self) -> int:
@@ -68,49 +66,38 @@ class RationalMatrix:
     # -- elimination -----------------------------------------------------
 
     def rref(self) -> tuple[list[SparseVec], list[int]]:
-        """Reduced row echelon form: (rows, pivot column per row), computed
-        once, for the nullspaces."""
+        """Reduced row echelon form (rows, pivot column per row), computed once."""
         if self._rref is None:
             self._rref = rref(self.rows)
         return self._rref
 
     def rank(self) -> int:
-        """Exact rank, computed once: the pivot count of the `rref` when the
-        matrix already has one, else the length of a fraction-free
-        `extend_echelon` of its rows, which leaves the rows as they are."""
+        """Exact rank, computed once: the length of a fraction-free
+        `extend_echelon` of the rows, which leaves them as they are."""
         if self._rank is None:
-            leads = self._rref[1] if self._rref else extend_echelon({}, self.rows, self.ncols)
-            self._rank = len(leads)
+            self._rank = len(extend_echelon({}, self.rows, self.ncols))
         return self._rank
 
     def solve(self, rhs: SparseVec | Sequence) -> list[Fraction] | None:
         """One solution y of (self) y = rhs, free variables 0; None if none.
 
-        The first call reduces [A | I] once; its rows are (R | E) with
-        E A = R, R = rref(A) above its zero rows.  Then E rhs is the
-        reduced form of rhs: its entry at a pivot p of A is y[p], and a
-        nonzero entry at a row whose R part is zero (a pivot in I, so
-        that row of E is in the left kernel of A) means the system is
-        inconsistent.  E is kept by column, so a query costs as much as
-        the nonzero entries of rhs.  An index of rhs outside
-        range(nrows) raises ValueError.
+        The rows of the reduced [A | I] are (R | E) with E A = R, R =
+        rref(A) above its zero rows, so E rhs is the reduced form of rhs:
+        its entry at a pivot p of A is y[p], and one at a pivot in I (a
+        left-kernel row of E) means the system is inconsistent.  E is kept
+        by column, so a query costs as much as the nonzero entries of rhs.
+        An index of rhs outside range(nrows) raises ValueError.
         """
         if not isinstance(rhs, dict):
             rhs = dict(enumerate(rhs))
         bad = [i for i in rhs if not 0 <= i < self.nrows]
         if bad:
             raise ValueError(f"right-hand side index {bad[0]} outside range({self.nrows})")
-        n = self.ncols
-        if self._inverse is None:
-            reduced, pivots = rref([{**row, n + i: 1} for i, row in enumerate(self.rows)])
-            self._inverse = [{} for _ in self.rows]
-            for row, p in zip(reduced, pivots):
-                for j, e in row.items():
-                    if j >= n:
-                        self._inverse[j - n][p] = e
+        inverse = self._reduce_augmented()[0]
         reduced_rhs: SparseVec = {}
         for i, c in rhs.items():
-            vec_add_scaled(reduced_rhs, self._inverse[i], Fraction(c))
+            vec_add_scaled(reduced_rhs, inverse[i], Fraction(c))
+        n = self.ncols
         y = [Fraction(0)] * n
         for p, c in reduced_rhs.items():
             if p >= n:
@@ -118,27 +105,36 @@ class RationalMatrix:
             y[p] = c
         return y
 
+    def _reduce_augmented(self) -> tuple[list[SparseVec], list[SparseVec]]:
+        """Reduce [A | I] once: the columns of E, and the rows (0 | e)
+        whose pivot lies in I, so that e A = 0, as a left-kernel basis."""
+        if self._augmented is None:
+            n = self.ncols
+            reduced, pivots = rref([{**row, n + i: 1} for i, row in enumerate(self.rows)])
+            inverse: list[SparseVec] = [{} for _ in self.rows]
+            for row, p in zip(reduced, pivots):
+                for j, e in row.items():
+                    if j >= n:
+                        inverse[j - n][p] = e
+            kernel = [
+                {j - n: e for j, e in row.items()} for row, p in zip(reduced, pivots) if p >= n
+            ]
+            self._augmented = inverse, kernel
+        return self._augmented
+
     def nullspace_basis(self) -> list[SparseVec]:
         """Basis of {v : (self) v = 0}, one vector per free column."""
         reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            v: SparseVec = {f: Fraction(1)}
-            for row, p in zip(reduced, pivots):
-                c = row.get(f)
-                if c:
-                    v[p] = -c
-            basis.append(v)
-        return basis
+        free = sorted(set(range(self.ncols)) - set(pivots))
+        return [
+            {f: Fraction(1), **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
+            for f in free
+        ]
 
     def left_nullspace_basis(self) -> list[SparseVec]:
-        """Basis of {w : w (self) = 0}, computed once per matrix."""
-        if self._left_nullspace is None:
-            self._left_nullspace = self.transpose().nullspace_basis()
-        return self._left_nullspace
+        """Basis of {w : w (self) = 0}: the rows (0 | e) of the reduced
+        [A | I] that `solve` reads, one per row of A beyond its rank."""
+        return self._reduce_augmented()[1]
 
 
 def rref(rows: Sequence[Mapping]) -> tuple[list[SparseVec], list[int]]:

@@ -281,6 +281,11 @@ class TestFibration:
         assert code == 0
         assert out.splitlines() == ["1 0 0 0 0 1"]
 
+    def test_wang_fiber_above_total_space_has_no_profile(self, capsys):
+        code, out, err = run(capsys, "fibration", "wang", "--sphere", "2",
+                             "--total", "eschenburg", "--fiber-dim", "1200")
+        assert (code, out, err) == (0, "", "0 profile(s)\n")
+
     def test_wang_bad_known_exits_2(self, capsys):
         code, _, err = run(capsys, "fibration", "wang", "--sphere", "2",
                            "--total", "S2xS5", "--fiber-dim", "5",

@@ -242,6 +242,12 @@ class TestWang:
         assert wang_fiber_betti(2, self.TOTAL, 5, known_fiber={0: 2}) == []
         assert wang_fiber_betti(2, self.TOTAL, 5, known_fiber={5: 0}) == []
 
+    def test_fiber_too_high_for_total_space_returns_nothing(self):
+        # b_(fiber_dim+2)(E) = b_fiber_dim(F) = 1 cannot hold once fiber_dim + 2
+        # is past TOTAL's top degree 7; a deep fiber must not recurse per degree
+        assert wang_fiber_betti(2, self.TOTAL, 1200) == []
+        assert wang_fiber_betti(2, self.TOTAL, 6, known_fiber={1: 0}) == []
+
     def test_upper_bounds_cut_solutions(self):
         # cap b_2(F) at 1: the profile needing b_2 = 2 must disappear
         sols = wang_fiber_betti(2, self.TOTAL, 5, known_fiber={1: 1},

@@ -220,11 +220,28 @@ class TestNullspace:
             col = {i: r[j] for i, r in enumerate(rows) if j in r}
             assert vec_dot(phi, col) == 0
 
-    def test_left_nullspace_computed_once(self):
-        m = from_dense([[1, 2], [2, 4], [0, 1]])
-        basis = m.left_nullspace_basis()
-        assert basis == m.transpose().nullspace_basis()
-        assert m.left_nullspace_basis() is basis
+    def test_left_nullspace_computed_once(self, monkeypatch):
+        """The left kernel is read from the reduction of [A | I] that
+        solve runs: nrows - rank independent vectors phi with phi A = 0,
+        one rref for both queries, the same list on every call."""
+        calls = counted(monkeypatch, "rref")
+        rng = random.Random(300)
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
+            rows = random_sparse(rng, nrows, ncols)
+            rows.append({j: 3 * v for j, v in rows[0].items()})
+            m = RationalMatrix(rows, ncols)
+            calls.clear()
+            m.solve({0: Fraction(1)})
+            basis = m.left_nullspace_basis()
+            assert len(calls) == 1
+            assert len(basis) == m.nrows - m.rank()
+            for phi in basis:
+                assert all(0 <= i < m.nrows for i in phi)
+                assert matvec(m.transpose().rows, [phi.get(i, 0) for i in range(m.nrows)]) == {}
+            assert RationalMatrix(basis, m.nrows).rank() == len(basis)
+            assert m.left_nullspace_basis() is basis
+            assert len(calls) == 1
 
     def test_full_rank_kernel_trivial(self):
         m = from_dense([[1, 0], [0, 1], [5, 7]])
@@ -235,8 +252,8 @@ class TestSingleElimination:
     @pytest.mark.parametrize("solve_first", [True, False])
     def test_queries_share_one_rref(self, monkeypatch, solve_first):
         """However many queries a matrix answers, it runs one elimination
-        for solve (of [A | I]) and one for rref and the nullspace, and
-        leaves its rows as they are."""
+        for solve and the left nullspace (of [A | I]) and one for rref and
+        the nullspace, and leaves its rows as they are."""
         calls = counted(monkeypatch, "rref")
         rng = random.Random(11)
         rows = random_sparse(rng, 7, 6)
@@ -257,6 +274,7 @@ class TestSingleElimination:
             m.solve({i: Fraction(1) for i in range(7)})
         m.rank()
         m.nullspace_basis()
+        m.left_nullspace_basis()
         assert len(calls) == 2
         assert m.rows == before
         assert m.rref() == snapshot
@@ -279,11 +297,9 @@ def rank_case(rng):
 
 
 class TestFractionFreeRank:
-    def test_matches_dense_oracle_before_and_after_rref(self, monkeypatch):
-        """rank() equals the dense oracle whether it runs first (the
-        fraction-free echelon), after rref() (the pivot count, with no
-        further elimination) or after solve()."""
-        echelons = counted(monkeypatch, "extend_echelon")
+    def test_matches_dense_oracle_before_and_after_rref(self):
+        """rank(), the length of the fraction-free echelon, equals the
+        dense oracle whether it runs first, after rref() or after solve()."""
         rng = random.Random(1919)
         seen = {"fraction": 0, "zero_row": 0, "repeated": 0, "deficient": 0}
         for _ in range(300):
@@ -295,9 +311,7 @@ class TestFractionFreeRank:
             assert first.rank() == want
             after = RationalMatrix(rows, ncols)
             after.rref()
-            calls = len(echelons)
             assert after.rank() == want
-            assert len(echelons) == calls
             solved = RationalMatrix(rows, ncols)
             solved.solve({0: Fraction(1)})
             assert solved.rank() == want
