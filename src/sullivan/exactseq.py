@@ -187,31 +187,34 @@ def wang_fiber_betti(
             return 0
         return pins.get(k)
 
-    def walk(k: int, beta: int, bs: tuple[int, ...]):
+    # depth-first over degrees with an explicit stack, so a fiber of any
+    # dimension walks without recursion; an entry is (k, beta, b_0..b_(k-1))
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    while stack:
+        k, beta, bs = stack.pop()
         if k > top:
             if beta == 0:
                 solutions.append(bs[: fiber_dim + 1])
-            return
+            continue
         alpha = total_betti[k] - beta
         if alpha < 0:
-            return
+            continue
         j = k - sphere_dim + 1
         bj = bs[j] if j >= 0 else 0
         want = pinned(k)
         cap = caps.get(k)
         if want is not None:
             if cap is not None and want > cap:
-                return
+                continue
             delta = want - alpha
             if 0 <= delta <= bj:
-                walk(k + 1, bj - delta, bs + (want,))
-            return
+                stack.append((k + 1, bj - delta, bs + (want,)))
+            continue
         for delta in range(0, bj + 1):
             bk = alpha + delta
             if cap is not None and bk > cap:
                 break
-            walk(k + 1, bj - delta, bs + (bk,))
+            stack.append((k + 1, bj - delta, bs + (bk,)))
 
-    walk(0, 0, ())
     tables = sorted(set(solutions))
     return [BettiTable(t) for t in tables]

@@ -6,10 +6,12 @@ verdicts carry no numerical caveats.  There is one elimination,
 `extend_echelon`: a fraction-free echelon form in integer arithmetic
 (Bareiss, 1968), which also grows an echelon form one batch of vectors
 at a time for ranks that a search updates node by node.  A
-`RationalMatrix` is ranked by it directly.  `rref` reduces it by
-back-substitution, for the nullspace.  One reduction of the matrix with
-an identity appended, [A | I], gives `solve` the row operations E with
-E A = rref(A), and the left nullspace as its rows that vanish on A.
+`RationalMatrix` is ranked by structural pivots read from its zero
+pattern, then by `extend_echelon` on the core they leave.  `rref`
+reduces the echelon form by back-substitution, for the nullspace.  One
+reduction of the matrix with an identity appended, [A | I], gives
+`solve` the row operations E with E A = rref(A), and the left nullspace
+as its rows that vanish on A.
 """
 
 from __future__ import annotations
@@ -72,10 +74,46 @@ class RationalMatrix:
         return self._rref
 
     def rank(self) -> int:
-        """Exact rank, computed once: the length of a fraction-free
-        `extend_echelon` of the rows, which leaves them as they are."""
+        """Exact rank, computed once, leaving the rows as they are.
+
+        Structural pivots first, from the zero pattern alone (structured
+        Gaussian elimination, LaMacchia and Odlyzko, 1990): a column with
+        one nonzero makes its row independent of the others, so the row
+        goes; a row with one nonzero, at column j, clears column j from
+        the others, so column j goes.  Each adds 1 to the rank.  The core
+        left is transposed, its old rows sparsest first so that leads fall
+        on sparse columns, and ranked by `extend_echelon`, sparsest
+        vectors first.
+        """
         if self._rank is None:
-            self._rank = len(extend_echelon({}, self.rows, self.ncols))
+            rows = [{j for j, v in row.items() if v} for row in self.rows]
+            cols: list[set[int]] = [set() for _ in range(self.ncols)]
+            for i, row in enumerate(rows):
+                for j in row:
+                    cols[j].add(i)
+            # a line a (row or column) with one nonzero, in line b of the
+            # other side, removes line b
+            sides = (rows, cols), (cols, rows)
+            todo = [(s, a) for s in (0, 1) for a, line in enumerate(sides[s][0]) if len(line) == 1]
+            peeled = 0
+            while todo:
+                s, a = todo.pop()
+                lines, cross = sides[s]
+                if len(lines[a]) == 1:
+                    (b,) = lines[a]
+                    peeled += 1
+                    for c in cross[b]:
+                        lines[c].discard(b)
+                        if len(lines[c]) == 1:
+                            todo.append((s, c))
+                    cross[b] = set()
+            core = sorted((i for i, row in enumerate(rows) if row), key=lambda i: len(rows[i]))
+            columns: dict[int, SparseVec] = {}
+            for p, i in enumerate(core):
+                for j in rows[i]:
+                    columns.setdefault(j, {})[p] = self.rows[i][j]
+            core_rank = extend_echelon({}, sorted(columns.values(), key=len), len(core))
+            self._rank = peeled + len(core_rank)
         return self._rank
 
     def solve(self, rhs: SparseVec | Sequence) -> list[Fraction] | None:

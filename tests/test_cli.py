@@ -286,6 +286,14 @@ class TestFibration:
                              "--total", "eschenburg", "--fiber-dim", "1200")
         assert (code, out, err) == (0, "", "0 profile(s)\n")
 
+    def test_wang_deep_model_file_fiber(self, capsys, tmp_path):
+        # one generator of degree 1201: the walk covers 1203 degrees
+        path = tmp_path / "s1201.model"
+        path.write_text("space s1201 {\n    generator x1201 : 1201;\n}\n")
+        code, out, err = run(capsys, "fibration", "wang", "--sphere", "2",
+                             "--total", str(path), "--fiber-dim", "1199")
+        assert (code, out, err) == (0, " ".join(["1"] * 1200) + "\n", "1 profile(s)\n")
+
     def test_wang_bad_known_exits_2(self, capsys):
         code, _, err = run(capsys, "fibration", "wang", "--sphere", "2",
                            "--total", "S2xS5", "--fiber-dim", "5",

@@ -233,6 +233,31 @@ def seeded_square_pure(seed):
     })
 
 
+def seeded_wide_pure(seed):
+    """d(y1) = x1^3 + a*x1^2*x2 + b*x1*x5 + c*x2*x3*x4, d(y2) = x2^2 + e*x2*x3
+    + f*x5, d(y3) = x3^2 + g*x3*x4 + h*x4^2, d(y4) = x4^2 + k*x5, d(y5) = x5^2
+    with |x1| = .. = |x4| = 2, |x5| = 4 and seeded nonzero coefficients.  As
+    in seeded_square_pure, each d(y_i) leads with x_i^(power) under lex order
+    and the leads are pairwise coprime, so H = Q[x]/(d(y)) has Poincare
+    polynomial (1 + t^2 + t^4)(1 + t^2)^3(1 + t^4), formal dimension 14."""
+    rng = random.Random(seed)
+    a, b, c, e, f, g, h, k = (
+        Fraction(rng.choice((-7, -3, -2, 2, 3, 5)), rng.randint(1, 3)) for _ in range(8)
+    )
+    free = SullivanModel.free(
+        [("x1", 2), ("x2", 2), ("x3", 2), ("x4", 2), ("x5", 4),
+         ("y1", 5), ("y2", 3), ("y3", 3), ("y4", 3), ("y5", 7)]
+    )
+    x1, x2, x3, x4, x5 = (free.gen(f"x{i}") for i in range(1, 6))
+    return free.with_differentials({
+        "y1": x1 ** 3 + a * x1 ** 2 * x2 + b * x1 * x5 + c * x2 * x3 * x4,
+        "y2": x2 ** 2 + e * x2 * x3 + f * x5,
+        "y3": x3 ** 2 + g * x3 * x4 + h * x4 ** 2,
+        "y4": x4 ** 2 + k * x5,
+        "y5": x5 ** 2,
+    })
+
+
 def counted(monkeypatch, name):
     """Wrap linalg.<name> so each call is recorded; returns the record."""
     calls = []
@@ -255,3 +280,14 @@ class TestFractionFreeBetti:
         assert betti_table(seeded_square_pure(seed), 12).values == tuple(poincare + [0, 0])
         assert not rrefs
         assert echelons
+
+    @pytest.mark.parametrize("seed", [5, 41])
+    def test_betti_table_at_benchmark_size(self, seed):
+        # coboundary matrices up to 973 x 761 (degree 16 to 17), whose ranks
+        # come partly from structural pivots and partly from the core
+        model = seeded_wide_pure(seed)
+        poincare = convolve(convolve([1, 0, 1, 0, 1], [1, 0, 1]), [1, 0, 1])
+        poincare = convolve(convolve(poincare, [1, 0, 1]), [1, 0, 0, 0, 1])
+        top = coboundary_matrix(model, 16)
+        assert (top.nrows, top.ncols) == (973, 761)
+        assert betti_table(model, 16).values == tuple(poincare + [0, 0])

@@ -248,6 +248,15 @@ class TestWang:
         assert wang_fiber_betti(2, self.TOTAL, 1200) == []
         assert wang_fiber_betti(2, self.TOTAL, 6, known_fiber={1: 0}) == []
 
+    def test_deep_fiber_walks_without_recursion(self):
+        # E = S^1201 over S^2 with a 1199-dimensional fiber.  As b_k(E) =
+        # coker(H^(k-1)(F) -> H^(k-2)(F)) + ker(H^k(F) -> H^(k-1)(F)) and
+        # b_k(E) = 0 for 1 <= k <= 1200, every map H^k(F) -> H^(k-1)(F) with
+        # 1 <= k <= 1199 is an isomorphism, so b_k(F) = b_0(F) = 1 throughout;
+        # b_1201(E) = 1 is the cokernel of 0 = H^1200(F) -> H^1199(F).
+        total = BettiTable((1,) + (0,) * 1200 + (1,))
+        assert wang_fiber_betti(2, total, 1199) == [BettiTable((1,) * 1200)]
+
     def test_upper_bounds_cut_solutions(self):
         # cap b_2(F) at 1: the profile needing b_2 = 2 must disappear
         sols = wang_fiber_betti(2, self.TOTAL, 5, known_fiber={1: 1},

@@ -337,3 +337,69 @@ class TestFractionFreeRank:
         assert (len(echelons), len(rrefs)) == (1, 0)
         assert m.rows == before
         assert all(type(v) is Fraction for r in m.rows for v in r.values())
+
+
+def ranked_core(monkeypatch, rows, ncols):
+    """rank() of the rows, and the core columns it hands to extend_echelon."""
+    core = []
+    original = linalg.extend_echelon
+
+    def recording(echelon, vectors, dim):
+        vectors = list(vectors)
+        core.extend(vectors)
+        return original(echelon, vectors, dim)
+
+    monkeypatch.setattr(linalg, "extend_echelon", recording)
+    return RationalMatrix(rows, ncols).rank(), core
+
+
+STRUCTURAL_CASES = {
+    # column 0 holds only row 0; once row 0 goes, column 1 holds only row 1,
+    # then column 2 only row 2; rows 3 and 4 are left, dependent
+    "singleton_column_chain": (
+        [{0: 1, 1: 2}, {1: 3, 2: 1}, {2: 5, 3: 1}, {3: 1, 4: 2}, {3: 2, 4: 4}], 5, 2,
+    ),
+    # rows 0 and 1 are multiples of e_0: either one clears column 0, which
+    # empties the other and leaves rows 2 and 3 dependent on columns 1 and 2
+    "singleton_row_empties_row": (
+        [{0: 3}, {0: Fraction(1, 2)}, {0: 1, 1: 1, 2: 1}, {1: 2, 2: 2}], 3, 2,
+    ),
+    # lower triangular: row 0 is a singleton, and so is each next row once
+    # the column before it is cleared
+    "triangular_peels_completely": (
+        [{j: Fraction(i + 2 * j + 1, j + 1) for j in range(i + 1)} for i in range(6)], 6, 0,
+    ),
+    # a singleton column (3) and a singleton row (5) peel off, leaving the
+    # first three rows, of rank 2
+    "deficient_core": (
+        [{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}, {0: 7, 1: 8, 2: 9},
+         {0: 2, 3: 1}, {4: 2, 5: 1}, {5: 3}],
+        6,
+        3,
+    ),
+    # int and Fraction entries in the peeled lines and in the core, whose
+    # row 1 is -2 times row 0
+    "int_and_fraction": (
+        [
+            {0: 2, 1: Fraction(1, 3), 2: 1},
+            {0: Fraction(-4), 1: Fraction(-2, 3), 2: -2},
+            {0: 1, 1: Fraction(1, 2), 2: Fraction(3, 4)},
+            {0: 3, 3: Fraction(5, 7)},
+            {4: 9},
+        ],
+        5,
+        3,
+    ),
+    # a stored zero is no nonzero: column 0 must not pivot on row 0
+    "stored_zeros": ([{0: Fraction(0), 1: 1}, {1: 2, 2: 0}], 3, 0),
+}
+
+
+class TestStructuralPivots:
+    @pytest.mark.parametrize("name", STRUCTURAL_CASES)
+    def test_peel_then_core_matches_dense_oracle(self, monkeypatch, name):
+        rows, ncols, core_columns = STRUCTURAL_CASES[name]
+        rank, core = ranked_core(monkeypatch, rows, ncols)
+        assert rank == dense_rank_oracle(rows, ncols)
+        assert len(core) == core_columns
+        assert all(len(column) >= 2 for column in core)

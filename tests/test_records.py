@@ -126,7 +126,7 @@ def test_import_loads_no_dataclasses_typing_inspect_or_pathlib():
         "if m in sys.modules))"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(SRC)],
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(SRC)],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
