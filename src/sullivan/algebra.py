@@ -20,9 +20,13 @@ itself into integer-indexed tables: exponent vectors with bitmasks of
 their odd positions, and each generator's differential in that form,
 with integral coefficients kept as int.  Products and the Leibniz
 expansion of d run on those tables; a Fraction is made only when an
-Element is returned.  `search_differentials` is the one backtracking
-search over differentials; the realizability and the relative-model
-searches plug their prunes into it.  It walks numbered coefficient
+Element is returned.  The tables are also the one source of bases: each
+degree's basis is enumerated once per generator list, as (exponent
+vector, odd bitmask) pairs, by a walk over memoised tails that never
+enters a dead end twice; its vector -> position index and its Monomials
+are made from those pairs on first request.  `search_differentials` is
+the one backtracking search over differentials; the realizability and
+the relative-model searches plug their prunes into it.  It walks numbered coefficient
 points (`coefficient_box`) over each generator's candidate monomials and
 decides d*d = 0 for a point by sums of vectors computed once per node:
 d is a derivation, so d(x) is affine in the coefficients of d(z)
@@ -441,68 +445,47 @@ class SullivanModel(_Value):
             return self.d_of_generator(x)
         if x.model.generators != self.generators:
             raise ValueError("element lives over a different generator list")
+        tables = self._tables
         out: dict[tuple[int, ...], Scalar] = {}
         for mon, c in x.terms.items():
             if c.denominator == 1:
                 c = c.numerator
-            for vec, v in self._d_monomial(mon):
+            for vec, v in tables.d_vector(*tables.encode(mon)):
                 out[vec] = out.get(vec, 0) + c * v
-        return self._tables.element(self, out)
-
-    def _d_monomial(
-        self, mon: Monomial, dgen: Sequence[tuple] | None = None
-    ) -> Iterator[tuple[tuple[int, ...], Scalar]]:
-        """The terms (exponent vector, coefficient) of d(mon), unsummed,
-        for the model's own d or for the derivation whose generator rows
-        (in the form of `_Tables.dgen`) are dgen.
-
-        With mon = g_1^e_1 ... g_r^e_r and D the degree of the factors
-        before g_i, the g_i term is e_i * (-1)^D * g_1^e_1 .. d(g_i) ..
-        g_r^e_r; moving d(g_i) to the front turns it into (-1)^D times
-        d(g_i) * (mon / g_i) for odd g_i, and that product alone for even
-        g_i, whose power commutes past d(g_i) without sign.
-        """
-        tables = self._tables
-        if dgen is None:
-            dgen = tables.dgen
-        vec, mask = tables.encode(mon)
-        prefix_degree = 0
-        for name, e in mon.exps:
-            p = tables.index[name]
-            if dgen[p]:
-                vec[p] -= 1
-                rest = mask & ~(1 << p)
-                scale = -e if tables.odd[p] and prefix_degree % 2 else e
-                for tvec, tmask, c in dgen[p]:
-                    if tmask & rest:
-                        continue
-                    product, sign = _merge(tvec, tmask, vec, rest)
-                    yield product, scale * sign * c
-                vec[p] += 1
-            prefix_degree += e * tables.degrees[p]
+        return tables.element(self, out)
 
     # -- bases -----------------------------------------------------------
 
     def basis_of_degree(self, k: int) -> tuple[Monomial, ...]:
         """All canonical monomials of total degree k, ascending in the
         exponent-vector lexicographic order."""
-        if k < 0:
-            return ()
         return self._tables.basis(k)
 
     def dimension_of_degree(self, k: int) -> int:
-        return len(self.basis_of_degree(k))
+        return len(self._tables.vectors(k))
+
+    @cached_property
+    def _hash(self) -> int:
+        # the fields' hash, computed once: models key the Betti and
+        # coboundary caches, and rehashing walks every term of d
+        return hash((self.generators, self.diff))
+
+    def __hash__(self):
+        return self._hash
 
 
 @lru_cache(maxsize=None)
 def _generator_frame(generators: tuple[GeneratorSpec, ...]):
     """Index, names, degrees and odd flags of a generator list, and its
-    store of monomial bases by degree, shared by every model over it."""
+    stores of basis tails, position indexes and monomial bases by degree,
+    shared by every model over it."""
     return (
         {g.name: i for i, g in enumerate(generators)},
         tuple(g.name for g in generators),
         tuple(g.degree for g in generators),
         tuple(g.is_odd for g in generators),
+        {},
+        {},
         {},
     )
 
@@ -525,15 +508,17 @@ class _Tables:
     Monomials become exponent vectors over the generator list plus a
     bitmask of their odd positions; dgen[p] lists d of generator p as
     (exponent vector, odd bitmask, coefficient) with integral
-    coefficients as int.  bases is the generator list's store of monomial
-    bases by degree.
+    coefficients as int.  The bases are the generator list's: each
+    degree's as (exponent vector, odd bitmask) pairs (`vectors`),
+    enumerated once, with a vector -> position index (`positions`) and
+    the Monomials decoded on demand (`basis`).
     """
 
-    __slots__ = ("index", "names", "degrees", "odd", "bases", "dgen")
+    __slots__ = ("index", "names", "degrees", "odd", "tails", "indexes", "bases", "dgen")
 
     def __init__(self, model: "SullivanModel"):
         frame = _generator_frame(model.generators)
-        self.index, self.names, self.degrees, self.odd, self.bases = frame
+        self.index, self.names, self.degrees, self.odd, self.tails, self.indexes, self.bases = frame
         dgen: list[tuple] = [()] * len(self.names)
         for name, terms in model.diff:
             rows = []
@@ -560,33 +545,78 @@ class _Tables:
     def element(self, model: "SullivanModel", terms: Mapping[tuple[int, ...], Scalar]) -> Element:
         return Element(model, {self.decode(vec): c for vec, c in terms.items() if c})
 
-    def basis(self, k: int) -> tuple[Monomial, ...]:
-        """Canonical monomials of degree k >= 0, enumerated once per
-        generator list."""
-        found = self.bases.get(k)
+    def vectors(self, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The degree-k basis as (exponent vector, odd bitmask) pairs, in
+        ascending lexicographic order of the vectors."""
+        return self._tail(0, k) if k >= 0 else ()
+
+    def _tail(self, i: int, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The pairs over generators i.. of degree r, ascending, memoised
+        per (i, r): a dead end is found once, and a degree's walk reuses
+        the tails of the degrees before it."""
+        found = self.tails.get((i, r))
         if found is not None:
             return found
-        names, degrees, odd = self.names, self.degrees, self.odd
-        out: list[Monomial] = []
-
-        def rec(i: int, rem: int, acc: list[tuple[str, int]]):
-            if i == len(names):
-                if rem == 0:
-                    out.append(Monomial(tuple(acc)))
-                return
-            max_e = 1 if odd[i] else rem // degrees[i]
-            for e in range(0, max_e + 1):
-                if e * degrees[i] > rem:
-                    break
-                if e:
-                    acc.append((names[i], e))
-                rec(i + 1, rem - e * degrees[i], acc)
-                if e:
-                    acc.pop()
-
-        rec(0, k, [])
-        found = self.bases[k] = tuple(out)
+        if i == len(self.degrees):
+            found = (((), 0),) if r == 0 else ()
+        else:
+            degree = self.degrees[i]
+            top, bit = r // degree, 0
+            if self.odd[i]:
+                top, bit = min(top, 1), 1 << i
+            out: list = []
+            for e in range(top + 1):
+                head, odd_bit = (e,), bit if e else 0
+                out += [(head + vec, mask | odd_bit) for vec, mask in self._tail(i + 1, r - e * degree)]
+            found = tuple(out)
+        self.tails[i, r] = found
         return found
+
+    def positions(self, k: int) -> dict[tuple[int, ...], int]:
+        """Exponent vector -> position in the degree-k basis."""
+        found = self.indexes.get(k)
+        if found is None:
+            found = self.indexes[k] = {vec: i for i, (vec, _) in enumerate(self.vectors(k))}
+        return found
+
+    def basis(self, k: int) -> tuple[Monomial, ...]:
+        """The degree-k basis as Monomials, decoded on first request."""
+        found = self.bases.get(k)
+        if found is None:
+            found = self.bases[k] = tuple([self.decode(vec) for vec, _ in self.vectors(k)])
+        return found
+
+    def d_vector(
+        self, vec: Sequence[int], mask: int, dgen: Sequence[tuple] | None = None
+    ) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+        """The terms (exponent vector, coefficient) of d(mon), unsummed,
+        for the monomial mon with exponent vector vec and odd bitmask
+        mask, and for the model's own d or the derivation whose generator
+        rows, in the form of the model's dgen, are dgen.
+
+        With mon = g_1^e_1 ... g_r^e_r and D the degree of the factors
+        before g_i, the g_i term is e_i * (-1)^D * g_1^e_1 ..
+        d(g_i) .. g_r^e_r; moving d(g_i) to the front turns it into
+        (-1)^D times d(g_i) * (mon / g_i) for odd g_i, and that product
+        alone for even g_i, whose power commutes past d(g_i) without sign.
+        """
+        if dgen is None:
+            dgen = self.dgen
+        for p, rows in enumerate(dgen):
+            e = vec[p]
+            if not (e and rows):
+                continue
+            bit = 1 << p
+            rest = mask & ~bit
+            rest_vec = list(vec)
+            rest_vec[p] -= 1
+            # D is odd iff an odd number of odd factors precede g_p
+            scale = -e if self.odd[p] and (mask & (bit - 1)).bit_count() & 1 else e
+            for tvec, tmask, c in rows:
+                if tmask & rest:
+                    continue
+                product, sign = _merge(tvec, tmask, rest_vec, rest)
+                yield product, scale * sign * c
 
 
 # -- validation ----------------------------------------------------------
@@ -671,8 +701,9 @@ def _derivation(
     """The nonzero terms of the derivation with generator rows dgen applied
     to the sum of c * mon over terms."""
     out: dict[tuple[int, ...], Scalar] = {}
+    tables = model._tables
     for mon, c in terms:
-        for vec, v in model._d_monomial(mon, dgen):
+        for vec, v in tables.d_vector(*tables.encode(mon), dgen):
             out[vec] = out.get(vec, 0) + c * v
     return {vec: v for vec, v in out.items() if v}
 

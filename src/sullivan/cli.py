@@ -14,6 +14,7 @@ usage or parse errors.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -313,6 +314,11 @@ def _parse(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the import's objects live as long as the process: freezing them once
+    # moves them out of the collector's generations, so that no collection
+    # during the command traverses them again
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         code = _main(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()

@@ -18,12 +18,14 @@ from .linalg import RationalMatrix, SparseVec, vec_dot
 
 def element_to_vector(x: Element, k: int) -> SparseVec:
     """Coordinates of a degree-k element in the canonical monomial basis."""
-    index = {mon: i for i, mon in enumerate(x.model.basis_of_degree(k))}
+    tables = x.model._tables
+    index = tables.positions(k)
     out: SparseVec = {}
     for mon, c in x.terms.items():
-        if mon not in index:
+        i = index.get(tuple(tables.encode(mon)[0]))
+        if i is None:
             raise ValueError(f"term {mon.format()} is not of degree {k}")
-        out[index[mon]] = c
+        out[i] = c
     return out
 
 
@@ -36,21 +38,20 @@ def vector_to_element(model: SullivanModel, vec: SparseVec, k: int) -> Element:
 def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
     """Matrix of d from degree k to degree k+1, columns over the k-basis.
 
-    Each column sums the terms of d on one basis monomial, read from the
-    model's compiled differential and filed by exponent vector, so no
-    Element is built; an entry is an int where integral, else a Fraction.
+    Each column sums the terms of d on one basis vector, expanded from
+    the model's compiled differential and filed by exponent vector, so no
+    Monomial or Element is built; an entry is an int where integral, else
+    a Fraction.
     """
     tables = model._tables
-    index = {
-        tuple(tables.encode(mon)[0]): i for i, mon in enumerate(model.basis_of_degree(k + 1))
-    }
+    index = tables.positions(k + 1)
     rows: list[dict] = [{} for _ in index]
-    columns = model.basis_of_degree(k)
-    for j, mon in enumerate(columns):
-        for vec, c in model._d_monomial(mon):
-            i = index.get(vec)
+    columns = tables.vectors(k)
+    for j, (vec, mask) in enumerate(columns):
+        for tvec, c in tables.d_vector(vec, mask):
+            i = index.get(tvec)
             if i is None:
-                raise ValueError(f"term {tables.decode(vec).format()} is not of degree {k + 1}")
+                raise ValueError(f"term {tables.decode(tvec).format()} is not of degree {k + 1}")
             row = rows[i]
             row[j] = row.get(j, 0) + c
     return RationalMatrix(

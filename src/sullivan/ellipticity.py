@@ -292,13 +292,7 @@ def generators_for(
 def _even_exponents(free: SullivanModel, k: int) -> list[tuple[int, ...]]:
     """Exponent vectors of the degree-k monomials in the even generators
     alone, in basis order."""
-    tables = free._tables
-    out = []
-    for m in free.basis_of_degree(k):
-        vec, odd_mask = tables.encode(m)
-        if not odd_mask:
-            out.append(tuple(vec))
-    return out
+    return [vec for vec, odd_mask in free._tables.vectors(k) if not odd_mask]
 
 
 def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict[int, int]]:
@@ -338,10 +332,11 @@ def _pure_shape(f: RankVector):
     free = SullivanModel.free(generators_for(f))
     odds = [g for g in free.generators if g.is_odd]
     e = max((g.degree for g in free.generators if not g.is_odd), default=0)
+    tables = free._tables
     monomials = [
         [
-            m for m in free.basis_of_degree(y.degree + 1)
-            if m.factor_count >= 2 and not any(free.is_odd(x) for x, _ in m.exps)
+            tables.decode(vec) for vec, odd_mask in tables.vectors(y.degree + 1)
+            if not odd_mask and sum(vec) >= 2
         ]
         for y in odds
     ]

@@ -86,24 +86,30 @@ def solve_exact_ranks(p: ExactSequenceProblem) -> list[RankSolution]:
                 f"slots {slots[i].label!r} and {slots[i + 1].label!r} are both unknown"
             )
     solutions: list[RankSolution] = []
-
-    def walk(i: int, carried: int, dims: list[int], ranks: list[int]):
-        if i == n - 1:
+    # depth-first with an explicit stack, so a sequence of any length walks
+    # without recursion; an entry (i, dim, out) gives slot i its dimension
+    # and the rank of its outgoing arrow.  A pop writes them into dims and
+    # ranks at i; the slots before i still hold the entry's ancestors,
+    # since every entry popped between its push and its pop is for slot i
+    # or a later one
+    dims = [0] * n
+    ranks = [0] * (n - 1)
+    stack = [(0, 0, 0)]
+    while stack:
+        i, dim, carried = stack.pop()
+        dims[i], ranks[i] = dim, carried
+        if i == n - 2:
             if carried == 0:
-                solutions.append(RankSolution((0, *dims, 0), (0, *ranks)))
-            return
-        slot = slots[i]
+                solutions.append(RankSolution(tuple(dims), tuple(ranks)))
+            continue
+        slot = slots[i + 1]
         if slot.known:
             out = slot.dimension - carried
-            if out < 0:
-                return
-            walk(i + 1, out, dims + [slot.dimension], ranks + [out])
+            if out >= 0:
+                stack.append((i + 1, slot.dimension, out))
         else:
-            nxt = slots[i + 1].dimension  # known by the pre-scan
-            for out in range(0, nxt + 1):
-                walk(i + 1, out, dims + [carried + out], ranks + [out])
-
-    walk(1, 0, [], [])
+            nxt = slots[i + 2].dimension  # known by the pre-scan
+            stack.extend((i + 1, carried + out, out) for out in range(nxt, -1, -1))
     solutions.sort(key=lambda s: s.dimensions)
     return solutions
 

@@ -404,14 +404,12 @@ def _relative_skeleton(
 def _candidate_monomials(free: SullivanModel, gen: GeneratorSpec) -> list[Monomial]:
     """Degree deg(g)+1 monomials allowed in D(g): anything touching the
     base, or a decomposable word in fiber generators alone."""
-    out = []
-    for mon in free.basis_of_degree(gen.degree + 1):
-        origins = {free.generator(name).origin for name, _ in mon.exps}
-        if "base" in origins:
-            out.append(mon)
-        elif mon.factor_count >= 2:
-            out.append(mon)
-    return out
+    tables = free._tables
+    base = [p for p, g in enumerate(free.generators) if g.origin == "base"]
+    return [
+        tables.decode(vec) for vec, _ in tables.vectors(gen.degree + 1)
+        if sum(vec) >= 2 or any(vec[p] for p in base)
+    ]
 
 
 def _coeff_tuple(coeff_set: Sequence) -> tuple[Fraction, ...]:

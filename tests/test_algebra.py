@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,24 @@ class TestBasis:
         free = SullivanModel.free([("y2", 2), ("y3", 3)])
         m = free.with_differentials({"y3": free.gen("y2") ** 2})
         assert free.basis_of_degree(6) is m.basis_of_degree(6)
+
+
+class TestModelHash:
+    def test_hash_of_the_fields_kept_on_the_model(self):
+        first, second = cp2(), cp2()
+        assert first is not second and first == second
+        assert "_hash" not in vars(first)  # computed on first use only
+        assert hash(first) == hash(second) == hash((first.generators, first.diff))
+        assert "_hash" in vars(first)
+        assert hash(sphere2()) != hash(first)
+
+    def test_pickle_round_trip_hashes_again(self):
+        model = cp2()
+        hash(model)
+        copy = pickle.loads(pickle.dumps(model))
+        # string hashes differ between processes, so none is carried over
+        assert "_hash" not in vars(copy)
+        assert copy == model and hash(copy) == hash(model)
 
 
 class TestValidation:

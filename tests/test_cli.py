@@ -261,6 +261,13 @@ class TestFibration:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    def test_fiber_ranks_of_a_high_degree_total(self, capsys):
+        # 3617 exact-sequence slots; the answer is derived by hand in
+        # test_exactseq's test_high_degree_total_walks_without_recursion
+        code, out, err = run(capsys, "fibration", "fiber-ranks",
+                             "--total", "1201:1", "--base", "2:1,3:1")
+        assert (code, out, err) == (0, "{1:1, 2:1, 1201:1}\n", "")
+
     def test_fiber_ranks_bad_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "fibration", "fiber-ranks",
                            "--total", "2:x", "--base", "S2")
@@ -464,6 +471,24 @@ def test_cli_call_imports_no_argparse():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["{2:1, 3:1}", "[]"]
+
+
+def test_main_freezes_the_import_once():
+    # a fresh interpreter, whose freeze count starts at 0; the second call
+    # finds the count nonzero and freezes nothing more
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gc\n"
+         "import sullivan.cli\n"
+         "counts = [gc.get_freeze_count()]\n"
+         "for _ in range(2):\n"
+         "    sullivan.cli.main(['elliptic', 'enumerate', '--dim', '2'])\n"
+         "    counts.append(gc.get_freeze_count())\n"
+         "print(counts[0], counts[1] > 0, counts[2] == counts[1])"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "0 True True"
 
 
 def test_console_script_installed():

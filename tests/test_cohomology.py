@@ -10,6 +10,7 @@ from sullivan.cohomology import (
     betti,
     betti_table,
     coboundary_matrix,
+    element_to_vector,
     is_coboundary,
 )
 
@@ -172,6 +173,15 @@ class TestCoboundary:
         v = is_coboundary(m.unit())
         assert not v.is_coboundary
         assert pair(v.functional, m.unit()) == 1
+
+    def test_element_to_vector_rejects_a_term_of_another_degree(self):
+        m = flag6()
+        x = m.gen("a2") ** 2 + m.gen("a3")
+        assert element_to_vector(m.gen("a2") * m.gen("b2"), 4) == {1: 1}
+        with pytest.raises(ValueError, match="term a3 is not of degree 4"):
+            element_to_vector(x, 4)
+        with pytest.raises(ValueError, match="term a2 is not of degree -1"):
+            element_to_vector(m.gen("a2"), -1)
 
     def test_rejects_non_cocycle(self):
         m = sphere(2)

@@ -185,6 +185,17 @@ class TestFiberRankVectors:
         keys = [f.padded(10) for f in out]
         assert keys == sorted(keys)
 
+    def test_high_degree_total_walks_without_recursion(self):
+        # 3 slots per degree from 1205 down to 1, more than the interpreter's
+        # recursion limit allows a walk that recurses once per slot.  By
+        # hand: for k outside {1, 2, 1201}, pi_k(F) sits between
+        # pi_(k+1)(B) = 0 and pi_k(E) = 0, so it is 0.  pi_1202(B) =
+        # pi_1201(B) = 0 make pi_1201(F) -> pi_1201(E) an isomorphism, and
+        # pi_k(E) = 0 for k = 1, 2, 3 makes the connecting maps
+        # pi_3(B) -> pi_2(F) and pi_2(B) -> pi_1(F) isomorphisms
+        out = fiber_rank_vectors(rv("1201:1"), rv("2:1,3:1"))
+        assert [str(f) for f in out] == ["{1:1, 2:1, 1201:1}"]
+
     def test_fiber_absorbs_missing_base_ranks(self):
         # base carries pi_7 the total lacks; the connecting map hands it
         # to the fiber one degree down

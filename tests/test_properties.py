@@ -16,6 +16,7 @@ import pytest
 
 from sullivan.algebra import (
     Element,
+    Monomial,
     SullivanModel,
     coefficient_box,
     search_differentials,
@@ -601,6 +602,65 @@ class TestBasisGeneratingFunction:
             expected = series_product([g.degree for g in model.generators], top)
             actual = [len(model.basis_of_degree(k)) for k in range(top + 1)]
             assert actual == expected
+
+
+def reference_vectors(degrees, k):
+    """Exponent vectors of degree k over generators of these degrees, an
+    odd one's exponent at most 1, ascending, by plain recursion."""
+    if not degrees:
+        return [()] if k == 0 else []
+    top = k // degrees[0] if k >= 0 else -1
+    if degrees[0] % 2:
+        top = min(top, 1)
+    return [
+        (e,) + rest
+        for e in range(top + 1)
+        for rest in reference_vectors(degrees[1:], k - e * degrees[0])
+    ]
+
+
+class TestVectorBases:
+    def test_against_recursive_enumeration(self):
+        """Each degree's (vector, odd bitmask) pairs, asked for in a random
+        order so that a degree may reuse the tails of later or earlier ones,
+        against the recursive reference; and the Monomials decoded from
+        them, the dimensions and the position index."""
+        rng = random.Random(808)
+        checked = 0
+        seen = {"degree_one": 0, "mixed": 0, "odd_only": 0, "even_only": 0}
+        for _ in range(200):
+            degrees = [rng.randint(1, 7) for _ in range(rng.randint(1, 5))]
+            kind = rng.random()
+            if kind < 0.4:
+                degrees[rng.randrange(len(degrees))] = 1
+            elif kind < 0.6:
+                degrees = [2 * rng.randint(1, 3) for _ in degrees]
+            model = SullivanModel.free((f"v{i}d{d}", d) for i, d in enumerate(degrees))
+            odd = {d % 2 for d in degrees}
+            seen["degree_one"] += 1 in degrees
+            seen["mixed"] += odd == {0, 1}
+            seen["odd_only"] += odd == {1}
+            seen["even_only"] += odd == {0}
+            tables = model._tables
+            ks = list(range(-2, 21))
+            rng.shuffle(ks)
+            for k in ks:
+                pairs = tables.vectors(k)
+                vectors = [vec for vec, _ in pairs]
+                assert vectors == reference_vectors(degrees, k)
+                assert len(set(vectors)) == len(vectors)
+                for vec, mask in pairs:
+                    assert sum(e * d for e, d in zip(vec, degrees)) == k
+                    assert mask == sum(1 << p for p, e in enumerate(vec) if e and degrees[p] % 2)
+                assert model.basis_of_degree(k) == tuple(
+                    Monomial(tuple((g.name, e) for g, e in zip(model.generators, vec) if e))
+                    for vec in vectors
+                )
+                assert model.dimension_of_degree(k) == len(vectors)
+                assert tables.positions(k) == {vec: i for i, vec in enumerate(vectors)}
+                checked += 1
+        assert checked >= CASES and min(seen.values()) >= 10, seen
+        assert model.dimension_of_degree(-1) == model.dimension_of_degree(-7) == 0
 
 
 def random_problem(rng, max_dim=3, max_interior=10, max_unknown=3):
