@@ -13,24 +13,28 @@ word of generators into canonical form picks up the Koszul sign
 (-1)^k where k is the number of transposed odd-odd pairs; any odd
 generator appearing twice kills the monomial.
 
-Everything is exact: elements carry fractions.Fraction coefficients.
-Models are immutable and hashable so degree-wise data (bases, boundary
-matrices) can be memoized per model.  On first use a model compiles
-itself into integer-indexed tables: exponent vectors with bitmasks of
-their odd positions, and each generator's differential in that form,
-with integral coefficients kept as int.  Products and the Leibniz
-expansion of d run on those tables; a Fraction is made only when an
-Element is returned.  The tables are also the one source of bases: each
-degree's basis is enumerated once per generator list, as (exponent
-vector, odd bitmask) pairs, by a walk over memoised tails that never
-enters a dead end twice; its vector -> position index and its Monomials
-are made from those pairs on first request.  `search_differentials` is
-the one backtracking search over differentials; the realizability and
-the relative-model searches plug their prunes into it.  It walks numbered coefficient
-points (`coefficient_box`) over each generator's candidate monomials and
-decides d*d = 0 for a point by sums of vectors computed once per node:
-d is a derivation, so d(x) is affine in the coefficients of d(z)
-(`_dd_test`).  Only a point that passes becomes an Element and a model.
+Everything is exact.  An element is stored as {exponent vector over its
+model's generator list: coefficient}, the coefficient an int where
+integral and a fractions.Fraction otherwise, and a model's differential
+is kept in the same form; this module alone converts between those
+vectors and Monomials, which appear only where text is read or written
+(`Element.terms`, `basis_of_degree`, element repr).  Models are immutable
+and hashable so degree-wise data (bases, boundary matrices) can be
+memoized per model.  On first use a model compiles itself into
+integer-indexed tables: each generator's differential as (exponent
+vector, bitmask of odd positions, coefficient) rows, on which products
+and the Leibniz expansion of d run.  The tables are also the one source
+of bases: each degree's basis is enumerated once per generator list, as
+(exponent vector, odd bitmask) pairs, by a walk over memoised tails that
+never enters a dead end twice; its vector -> position index and its
+Monomials are made from those pairs on first request.
+`search_differentials` is the one backtracking search over
+differentials; the realizability and the relative-model searches plug
+their prunes into it.  It walks numbered coefficient points
+(`coefficient_box`) over each generator's candidate monomials and decides
+d*d = 0 for a point by sums of vectors computed once per node: d is a
+derivation, so d(x) is affine in the coefficients of d(z) (`_dd_test`).
+Only a point that passes becomes an Element and a model.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
 
 Scalar = Fraction | int
 
@@ -138,11 +142,6 @@ class Monomial(_Value):
     def is_unit(self) -> bool:
         return not self.exps
 
-    @property
-    def factor_count(self) -> int:
-        # word length, counting exponents; decomposability means >= 2
-        return sum(e for _, e in self.exps)
-
     def format(self) -> str:
         if not self.exps:
             return "1"
@@ -152,47 +151,58 @@ class Monomial(_Value):
         return "*".join(parts)
 
 
+Vector = tuple[int, ...]
+
+
 class Element:
     """A finite Q-linear combination of monomials in a fixed model.
 
-    Supports +, -, scalar and element multiplication, and integer powers.
-    Elements compare equal when they live over the same generator list and
-    have identical term dictionaries; the differentials of the ambient
-    models are irrelevant to equality.
+    Stored as {exponent vector: coefficient} over the model's generator
+    list, an int coefficient where integral and a Fraction otherwise;
+    `terms` reads it as {Monomial: Fraction}.  Supports +, -, scalar and
+    element multiplication, and integer powers.  Elements compare equal
+    when they live over the same generator list and have identical terms;
+    the differentials of the ambient models are irrelevant to equality.
     """
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model", "_terms")
 
-    def __init__(self, model: "SullivanModel", terms: Mapping[Monomial, Scalar] | None = None):
+    def __init__(self, model: "SullivanModel", terms: Mapping[Vector, Scalar] | None = None):
+        """terms maps exponent vectors to int or Fraction coefficients;
+        zeros are dropped.  `SullivanModel.element_from_terms` builds an
+        element from Monomials."""
         self.model = model
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mon, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[mon] = c
-        self.terms = clean
+        self._terms = (
+            {vec: c.numerator if c.denominator == 1 else c for vec, c in terms.items() if c}
+            if terms else {}
+        )
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        decode = self.model._tables.decode
+        return {decode(vec): Fraction(c) for vec, c in self._terms.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def degree(self) -> int | None:
         """Common degree of all terms; None for 0; error if inhomogeneous."""
-        if not self.terms:
+        if not self._terms:
             return None
-        degs = {self.model.monomial_degree(m) for m in self.terms}
+        degs = set(map(self.model._tables.degree, self._terms))
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous element, degrees {sorted(degs)}")
         return degs.pop()
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        key = self.model.monomial_sort_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]))
+        """The terms in ascending order of their exponent vectors."""
+        decode = self.model._tables.decode
+        return [(decode(vec), Fraction(c)) for vec, c in sorted(self._terms.items())]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -206,15 +216,15 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same_model(other)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            terms[mon] = terms.get(mon, Fraction(0)) + c
+        terms = dict(self._terms)
+        for vec, c in other._terms.items():
+            terms[vec] = terms.get(vec, 0) + c
         return Element(self.model, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.model, {m: -c for m, c in self.terms.items()})
+        return Element(self.model, {vec: -c for vec, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Element) else -Fraction(other))
@@ -224,22 +234,21 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Element(self.model, {m: c * v for m, v in self.terms.items()})
+            return Element(self.model, {vec: other * c for vec, c in self._terms.items()})
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same_model(other)
-        tables = self.model._tables
-        right = [(tables.encode(mb), cb) for mb, cb in other.terms.items()]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ma, ca in self.terms.items():
-            avec, amask = tables.encode(ma)
-            for (bvec, bmask), cb in right:
+        mask = self.model._tables.mask
+        right = [(bvec, mask(bvec), cb) for bvec, cb in other._terms.items()]
+        out: dict[Vector, Scalar] = {}
+        for avec, ca in self._terms.items():
+            amask = mask(avec)
+            for bvec, bmask, cb in right:
                 if amask & bmask:
                     continue
                 vec, sign = _merge(avec, amask, bvec, bmask)
                 out[vec] = out.get(vec, 0) + ca * cb * sign
-        return tables.element(self.model, out)
+        return Element(self.model, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -257,7 +266,7 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.model.generators == other.model.generators and self.terms == other.terms
+        return self.model.generators == other.model.generators and self._terms == other._terms
 
     def __hash__(self):
         raise TypeError("Element is unhashable; compare with == or freeze via sorted_terms()")
@@ -266,7 +275,7 @@ class Element:
         return self.model.d(self)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for mon, c in self.sorted_terms():
@@ -282,17 +291,18 @@ class Element:
         return s.replace("+ -", "- ")
 
 
-DiffTable = tuple[tuple[str, tuple[tuple[Monomial, Fraction], ...]], ...]
+DiffTable = tuple[tuple[str, tuple[tuple[Vector, Scalar], ...]], ...]
 
 
 class SullivanModel(_Value):
     """An immutable free graded-commutative model with differential.
 
     `generators` fixes the declaration order used for canonical monomial
-    form.  `diff` maps each generator name to the term list of its
-    differential; generators absent from `diff` have d = 0.  Build free
-    models with `SullivanModel.free(...)`, then attach differentials with
-    `with_differentials(...)`.
+    form.  `diff` maps each generator name to the terms of its
+    differential, (exponent vector, coefficient) pairs in ascending order
+    of the vectors, as an Element stores them; generators absent from
+    `diff` have d = 0.  Build free models with `SullivanModel.free(...)`,
+    then attach differentials with `with_differentials(...)`.
     """
 
     __slots__ = ("generators", "diff", "__dict__")
@@ -337,7 +347,7 @@ class SullivanModel(_Value):
                 continue
             if val.model.generators != self.generators:
                 raise ValueError(f"d({name}) uses a different generator list")
-            table[name] = tuple(sorted(val.terms.items(), key=lambda t: self.monomial_sort_key(t[0])))
+            table[name] = tuple(sorted(val._terms.items()))
         ordered = tuple((g.name, table[g.name]) for g in self.generators if g.name in table)
         return SullivanModel(self.generators, ordered)
 
@@ -366,13 +376,6 @@ class SullivanModel(_Value):
     def is_odd(self, name: str) -> bool:
         return self.generator(name).is_odd
 
-    def monomial_degree(self, mon: Monomial) -> int:
-        tables = self._tables
-        return sum(tables.degrees[tables.index[name]] * e for name, e in mon.exps)
-
-    def monomial_sort_key(self, mon: Monomial) -> tuple[int, ...]:
-        return tuple(self._tables.encode(mon)[0])
-
     @property
     def is_simply_connected(self) -> bool:
         return all(g.degree >= 2 for g in self.generators)
@@ -380,24 +383,27 @@ class SullivanModel(_Value):
     # -- element builders ------------------------------------------------
 
     def zero(self) -> Element:
-        return Element(self, {})
+        return Element(self)
 
     def constant(self, c: Scalar) -> Element:
-        return Element(self, {Monomial(): Fraction(c)})
+        return Element(self, {(0,) * len(self.generators): Fraction(c)})
 
     def unit(self) -> Element:
         return self.constant(1)
 
     def gen(self, name: str) -> Element:
-        if name not in self.generator_index:
-            raise ValueError(f"unknown generator {name!r}")
-        return Element(self, {Monomial(((name, 1),)): Fraction(1)})
+        return self.monomial(Monomial(((name, 1),)))
 
     def monomial(self, mon: Monomial) -> Element:
-        return Element(self, {mon: Fraction(1)})
+        return Element(self, {self._tables.encode(mon): 1})
 
     def element_from_terms(self, terms: Mapping[Monomial, Scalar]) -> Element:
-        return Element(self, terms)
+        encode = self._tables.encode
+        out: dict[Vector, Scalar] = {}
+        for mon, c in terms.items():
+            vec = encode(mon)
+            out[vec] = out.get(vec, 0) + Fraction(c)
+        return Element(self, out)
 
     # -- canonical form and products -------------------------------------
 
@@ -437,7 +443,7 @@ class SullivanModel(_Value):
         p = tables.index.get(name)
         if p is None:
             raise ValueError(f"unknown generator {name!r}")
-        return tables.element(self, {vec: c for vec, _, c in tables.dgen[p]})
+        return Element(self, {vec: c for vec, _, c in tables.dgen[p]})
 
     def d(self, x: "Element | str") -> Element:
         """Differential, extended from generators by the graded Leibniz rule."""
@@ -445,14 +451,7 @@ class SullivanModel(_Value):
             return self.d_of_generator(x)
         if x.model.generators != self.generators:
             raise ValueError("element lives over a different generator list")
-        tables = self._tables
-        out: dict[tuple[int, ...], Scalar] = {}
-        for mon, c in x.terms.items():
-            if c.denominator == 1:
-                c = c.numerator
-            for vec, v in tables.d_vector(*tables.encode(mon)):
-                out[vec] = out.get(vec, 0) + c * v
-        return tables.element(self, out)
+        return Element(self, self._tables.derive(x._terms.items()))
 
     # -- bases -----------------------------------------------------------
 
@@ -476,21 +475,21 @@ class SullivanModel(_Value):
 
 @lru_cache(maxsize=None)
 def _generator_frame(generators: tuple[GeneratorSpec, ...]):
-    """Index, names, degrees and odd flags of a generator list, and its
-    stores of basis tails, position indexes and monomial bases by degree,
-    shared by every model over it."""
+    """Index, names, degrees and odd bits (1 << p for an odd generator p,
+    else 0) of a generator list, and its stores of basis tails, position
+    indexes and monomial bases by degree, shared by every model over it."""
     return (
         {g.name: i for i, g in enumerate(generators)},
         tuple(g.name for g in generators),
         tuple(g.degree for g in generators),
-        tuple(g.is_odd for g in generators),
+        tuple(1 << i if g.is_odd else 0 for i, g in enumerate(generators)),
         {},
         {},
         {},
     )
 
 
-def _merge(avec, amask: int, bvec, bmask: int) -> tuple[tuple[int, ...], int]:
+def _merge(avec, amask: int, bvec, bmask: int) -> tuple[Vector, int]:
     """Product of exponent vectors a and b, with no odd position in both
     bitmasks: (exponent vector, Koszul sign).  The sign counts the odd
     pairs (x in a, y in b) with x declared after y."""
@@ -505,13 +504,14 @@ def _merge(avec, amask: int, bvec, bmask: int) -> tuple[tuple[int, ...], int]:
 class _Tables:
     """A model compiled to integer indices.
 
-    Monomials become exponent vectors over the generator list plus a
-    bitmask of their odd positions; dgen[p] lists d of generator p as
-    (exponent vector, odd bitmask, coefficient) with integral
-    coefficients as int.  The bases are the generator list's: each
-    degree's as (exponent vector, odd bitmask) pairs (`vectors`),
-    enumerated once, with a vector -> position index (`positions`) and
-    the Monomials decoded on demand (`basis`).
+    A monomial is an exponent vector over the generator list, with a
+    bitmask of its odd positions (`mask`); dgen[p] lists d of generator p
+    as (exponent vector, odd bitmask, coefficient) rows.  The bases are
+    the generator list's: each degree's as (exponent vector, odd bitmask)
+    pairs (`vectors`), enumerated once, with a vector -> position index
+    (`positions`) and the Monomials decoded on demand (`basis`).
+    `encode` and `decode` are the only conversions between vectors and
+    Monomials.
     """
 
     __slots__ = ("index", "names", "degrees", "odd", "tails", "indexes", "bases", "dgen")
@@ -521,36 +521,42 @@ class _Tables:
         self.index, self.names, self.degrees, self.odd, self.tails, self.indexes, self.bases = frame
         dgen: list[tuple] = [()] * len(self.names)
         for name, terms in model.diff:
-            rows = []
-            for mon, c in terms:
-                vec, mask = self.encode(mon)
-                rows.append((tuple(vec), mask, c.numerator if c.denominator == 1 else c))
-            dgen[self.index[name]] = tuple(rows)
+            dgen[self.index[name]] = tuple([(vec, self.mask(vec), c) for vec, c in terms])
         self.dgen = tuple(dgen)
 
-    def encode(self, mon: Monomial) -> tuple[list[int], int]:
-        vec = [0] * len(self.names)
-        mask = 0
-        for name, e in mon.exps:
-            p = self.index[name]
-            vec[p] = e
-            if self.odd[p]:
-                mask |= 1 << p
-        return vec, mask
+    def mask(self, vec: Vector) -> int:
+        """The bitmask of the odd generators in the monomial vec."""
+        return sum([bit for bit, e in zip(self.odd, vec) if e])
 
-    def decode(self, vec) -> Monomial:
+    def degree(self, vec: Vector) -> int:
+        return sum(map(mul, self.degrees, vec))
+
+    def encode(self, mon: Monomial) -> Vector:
+        """The exponent vector of mon; a name given twice adds up.  Raises
+        ValueError on a name that is no generator, an exponent below 1 or
+        an odd generator's exponent above 1."""
+        vec = [0] * len(self.names)
+        for name, e in mon.exps:
+            p = self.index.get(name)
+            if p is None:
+                raise ValueError(f"unknown generator {name!r}")
+            if e < 1:
+                raise ValueError(f"exponent {e} of {name} is below 1")
+            vec[p] += e
+            if self.odd[p] and vec[p] > 1:
+                raise ValueError(f"odd generator {name} has exponent {vec[p]}")
+        return tuple(vec)
+
+    def decode(self, vec: Vector) -> Monomial:
         names = self.names
         return Monomial(tuple([(names[p], e) for p, e in enumerate(vec) if e]))
 
-    def element(self, model: "SullivanModel", terms: Mapping[tuple[int, ...], Scalar]) -> Element:
-        return Element(model, {self.decode(vec): c for vec, c in terms.items() if c})
-
-    def vectors(self, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def vectors(self, k: int) -> tuple[tuple[Vector, int], ...]:
         """The degree-k basis as (exponent vector, odd bitmask) pairs, in
         ascending lexicographic order of the vectors."""
         return self._tail(0, k) if k >= 0 else ()
 
-    def _tail(self, i: int, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def _tail(self, i: int, r: int) -> tuple[tuple[Vector, int], ...]:
         """The pairs over generators i.. of degree r, ascending, memoised
         per (i, r): a dead end is found once, and a degree's walk reuses
         the tails of the degrees before it."""
@@ -560,10 +566,8 @@ class _Tables:
         if i == len(self.degrees):
             found = (((), 0),) if r == 0 else ()
         else:
-            degree = self.degrees[i]
-            top, bit = r // degree, 0
-            if self.odd[i]:
-                top, bit = min(top, 1), 1 << i
+            degree, bit = self.degrees[i], self.odd[i]
+            top = min(r // degree, 1) if bit else r // degree
             out: list = []
             for e in range(top + 1):
                 head, odd_bit = (e,), bit if e else 0
@@ -572,7 +576,7 @@ class _Tables:
         self.tails[i, r] = found
         return found
 
-    def positions(self, k: int) -> dict[tuple[int, ...], int]:
+    def positions(self, k: int) -> dict[Vector, int]:
         """Exponent vector -> position in the degree-k basis."""
         found = self.indexes.get(k)
         if found is None:
@@ -587,8 +591,8 @@ class _Tables:
         return found
 
     def d_vector(
-        self, vec: Sequence[int], mask: int, dgen: Sequence[tuple] | None = None
-    ) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+        self, vec: Vector, mask: int, dgen: Sequence[tuple] | None = None
+    ) -> Iterator[tuple[Vector, Scalar]]:
         """The terms (exponent vector, coefficient) of d(mon), unsummed,
         for the monomial mon with exponent vector vec and odd bitmask
         mask, and for the model's own d or the derivation whose generator
@@ -617,6 +621,17 @@ class _Tables:
                     continue
                 product, sign = _merge(tvec, tmask, rest_vec, rest)
                 yield product, scale * sign * c
+
+    def derive(
+        self, terms: Iterable[tuple[Vector, Scalar]], dgen: Sequence[tuple] | None = None
+    ) -> dict[Vector, Scalar]:
+        """The nonzero terms of the model's d, or of the derivation with
+        generator rows dgen, applied to the sum of c * vec over terms."""
+        out: dict[Vector, Scalar] = {}
+        for vec, c in terms:
+            for tvec, v in self.d_vector(vec, self.mask(vec), dgen):
+                out[tvec] = out.get(tvec, 0) + c * v
+        return {vec: v for vec, v in out.items() if v}
 
 
 # -- validation ----------------------------------------------------------
@@ -663,20 +678,20 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
     least two factors counted with multiplicity.
     """
     report = ValidationReport(ok=True)
+    tables = model._tables
     for g in model.generators:
         dval = model.d_of_generator(g.name)
         if dval.is_zero():
             continue
-        degs = {model.monomial_degree(m) for m in dval.terms}
-        if degs != {g.degree + 1}:
+        if set(map(tables.degree, dval._terms)) != {g.degree + 1}:
             report.degree_failures.append((g.name, repr(dval)))
         dd = model.d(dval)
         if not dd.is_zero():
             report.d_squared_failures.append((g.name, repr(dd)))
         if require_minimal:
-            for mon in dval.terms:
-                if mon.factor_count < 2:
-                    report.nonminimal_terms.append((g.name, mon.format()))
+            for vec in dval._terms:
+                if sum(vec) < 2:
+                    report.nonminimal_terms.append((g.name, tables.decode(vec).format()))
     report.ok = not (report.d_squared_failures or report.degree_failures or report.nonminimal_terms)
     return report
 
@@ -695,29 +710,17 @@ def coefficient_box(
     return enumerate(itertools.islice(combos, start, None), start)
 
 
-def _derivation(
-    model: SullivanModel, terms: Iterable[tuple[Monomial, Scalar]], dgen: Sequence[tuple]
-) -> dict[tuple[int, ...], Scalar]:
-    """The nonzero terms of the derivation with generator rows dgen applied
-    to the sum of c * mon over terms."""
-    out: dict[tuple[int, ...], Scalar] = {}
-    tables = model._tables
-    for mon, c in terms:
-        for vec, v in tables.d_vector(*tables.encode(mon), dgen):
-            out[vec] = out.get(vec, 0) + c * v
-    return {vec: v for vec, v in out.items() if v}
-
-
 def _dd_test(
     model: SullivanModel,
     z: str,
-    monomials: Sequence[Monomial],
+    monomials: Sequence[Vector],
     checkable: Sequence[Element],
     later: set[str],
 ) -> Callable[[Sequence[Scalar]], bool]:
     """The d*d test on the points c of d(z) = v = sum c_k m_k over model,
-    where d(z) is 0: a point passes iff d(w) = 0 for each w in checkable
-    and, unless v touches a generator in later, d(v) = 0.
+    where d(z) is 0 and the m_k are exponent vectors: a point passes iff
+    d(w) = 0 for each w in checkable and, unless v touches a generator in
+    later, d(v) = 0.
 
     d is a derivation, so d(x) = d_0(x) + sum c_k delta_k(x), where d_0 is
     the model's d and delta_k the derivation that sends z to m_k and every
@@ -728,32 +731,31 @@ def _dd_test(
     """
     tables = model._tables
     p = tables.index[z]
-    d0 = tables.dgen
     swaps = []
     for m in monomials:
-        vec, mask = tables.encode(m)
-        rows = [()] * len(d0)
-        rows[p] = ((tuple(vec), mask, 1),)
+        rows = [()] * len(tables.dgen)
+        rows[p] = ((m, tables.mask(m), 1),)
         swaps.append(rows)
     # affine rows (b, [(k, a)]) of d(w): b + sum c_k a = 0 at each term
     affine = []
     for w in checkable:
-        terms = [(mon, c.numerator if c.denominator == 1 else c) for mon, c in w.terms.items()]
-        rows = {vec: (b, []) for vec, b in _derivation(model, terms, d0).items()}
+        terms = w._terms.items()
+        rows = {vec: (b, []) for vec, b in tables.derive(terms).items()}
         for k, dgen in enumerate(swaps):
-            for vec, a in _derivation(model, terms, dgen).items():
+            for vec, a in tables.derive(terms, dgen).items():
                 rows.setdefault(vec, (0, []))[1].append((k, a))
         affine.extend(rows.values())
     # quadratic rows ([(j, b)], [(j, k, q)]) of d(v), per term
-    quadratic: dict[tuple[int, ...], tuple[list, list]] = {}
+    quadratic: dict[Vector, tuple[list, list]] = {}
     for j, m in enumerate(monomials):
-        for vec, b in _derivation(model, [(m, 1)], d0).items():
+        for vec, b in tables.derive([(m, 1)]).items():
             quadratic.setdefault(vec, ([], []))[0].append((j, b))
-        if any(name == z for name, _ in m.exps):
+        if m[p]:
             for k, dgen in enumerate(swaps):
-                for vec, q in _derivation(model, [(m, 1)], dgen).items():
+                for vec, q in tables.derive([(m, 1)], dgen).items():
                     quadratic.setdefault(vec, ([], []))[1].append((j, k, q))
-    deferred = [j for j, m in enumerate(monomials) if any(name in later for name, _ in m.exps)]
+    later_positions = [tables.index[name] for name in later]
+    deferred = [j for j, m in enumerate(monomials) if any(m[q] for q in later_positions)]
     squares = list(quadratic.values())
 
     def passes(c: Sequence[Scalar]) -> bool:
@@ -776,7 +778,7 @@ SearchPath = list[tuple[int, Element]]
 def search_differentials(
     model: SullivanModel,
     gens: Sequence[GeneratorSpec],
-    options: Callable[[SearchPath], tuple[Sequence[Monomial], Iterable[tuple[int, Sequence[Scalar]]]]],
+    options: Callable[[SearchPath], tuple[Sequence[Vector], Iterable[tuple[int, Sequence[Scalar]]]]],
     node: Callable[[SearchPath, SullivanModel], bool],
     leaf: Callable[[SearchPath, SullivanModel], object],
 ) -> tuple[object, int]:
@@ -784,12 +786,13 @@ def search_differentials(
     model has d = 0 on gens.
 
     The path lists the (number, value) choices made for gens[:len(path)].
-    options(path) gives the next generator's candidate monomials m_1..m_M
-    and a stream of numbered coefficient points c (`coefficient_box`),
-    each the value sum c_k m_k.  A point is dropped, and counted, when
-    some d(v) != 0, v its value or an earlier one, checked as soon as
-    every generator v touches is assigned; generators outside gens count
-    as assigned from the start.  `_dd_test` decides this per point from
+    options(path) gives the next generator's candidate monomials m_1..m_M,
+    exponent vectors over model's generator list, and a stream of
+    numbered coefficient points c (`coefficient_box`), each the value
+    sum c_k m_k.  A point is dropped, and counted, when some d(v) != 0, v
+    its value or an earlier one, checked as soon as every generator v
+    touches is assigned; generators outside gens count as assigned from
+    the start.  `_dd_test` decides this per point from
     vectors computed once per node, so only a point that passes becomes
     an Element and a model.  node(path, model) runs at every node, the
     root included, and returns False to prune there.  leaf(path, model)
@@ -798,6 +801,7 @@ def search_differentials(
     exhausted) and the number of points dropped by the d*d check.
     """
     names = [g.name for g in gens]
+    all_names = model.generator_names
     path: SearchPath = []
     dropped = 0
 
@@ -819,7 +823,7 @@ def search_differentials(
                 dropped += 1
                 continue
             value = Element(model, dict(zip(monomials, combo)))
-            used = {n for m in value.terms for n, _ in m.exps}
+            used = {all_names[p] for vec in value._terms for p, e in enumerate(vec) if e}
             path.append((number, value))
             found = walk(
                 current.with_differentials({z: value}),

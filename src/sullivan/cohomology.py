@@ -18,20 +18,19 @@ from .linalg import RationalMatrix, SparseVec, vec_dot
 
 def element_to_vector(x: Element, k: int) -> SparseVec:
     """Coordinates of a degree-k element in the canonical monomial basis."""
-    tables = x.model._tables
-    index = tables.positions(k)
+    index = x.model._tables.positions(k)
     out: SparseVec = {}
-    for mon, c in x.terms.items():
-        i = index.get(tuple(tables.encode(mon)[0]))
+    for vec, c in x._terms.items():
+        i = index.get(vec)
         if i is None:
-            raise ValueError(f"term {mon.format()} is not of degree {k}")
+            raise ValueError(f"term {Element(x.model, {vec: 1})} is not of degree {k}")
         out[i] = c
     return out
 
 
 def vector_to_element(model: SullivanModel, vec: SparseVec, k: int) -> Element:
-    basis = model.basis_of_degree(k)
-    return model.element_from_terms({basis[i]: c for i, c in vec.items()})
+    basis = model._tables.vectors(k)
+    return Element(model, {basis[i][0]: c for i, c in vec.items()})
 
 
 @lru_cache(maxsize=None)
@@ -40,8 +39,7 @@ def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
 
     Each column sums the terms of d on one basis vector, expanded from
     the model's compiled differential and filed by exponent vector, so no
-    Monomial or Element is built; an entry is an int where integral, else
-    a Fraction.
+    Element is built; an entry is an int where integral, else a Fraction.
     """
     tables = model._tables
     index = tables.positions(k + 1)
@@ -51,7 +49,7 @@ def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
         for tvec, c in tables.d_vector(vec, mask):
             i = index.get(tvec)
             if i is None:
-                raise ValueError(f"term {tables.decode(tvec).format()} is not of degree {k + 1}")
+                raise ValueError(f"term {Element(model, {tvec: 1})} is not of degree {k + 1}")
             row = rows[i]
             row[j] = row.get(j, 0) + c
     return RationalMatrix(

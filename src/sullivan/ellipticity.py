@@ -299,12 +299,8 @@ def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict[
     """The multiples m*q of the pure-even part q of value, one integer
     column over top (exponent vector -> row) per exponent vector m in
     shifts, with q scaled by the lcm of its denominators."""
-    tables = free._tables
-    q = []
-    for mon, c in value.terms.items():
-        vec, odd_mask = tables.encode(mon)
-        if not odd_mask:
-            q.append((vec, c))
+    mask = free._tables.mask
+    q = [(vec, c) for vec, c in value._terms.items() if not mask(vec)]
     if not q:
         return
     den = lcm(*(c.denominator for _, c in q))
@@ -315,11 +311,12 @@ def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict[
 
 def _pure_shape(f: RankVector):
     """The free model on f's generators, its odd generators y in degree
-    order, per y the candidates for dy (the even-only monomials of length
-    at least 2 in degree |y|+1), and one ideal slice per even degree k in
-    (n, n+e], n the formal dimension and e the largest even generator
-    degree: the even monomials of degree k (exponent vector -> row), and
-    per y the m whose multiples m*dy land in degree k.
+    order, per y the candidates for dy (the exponent vectors of the
+    even-only monomials of length at least 2 in degree |y|+1), and one
+    ideal slice per even degree k in (n, n+e], n the formal dimension and
+    e the largest even generator degree: the even monomials of degree k
+    (exponent vector -> row), and per y the m whose multiples m*dy land
+    in degree k.
 
     A pure model on f has finite cohomology iff Q[x]/(dy) is finite
     (Halperin, Trans. AMS 230, 1977; Felix, Halperin and Thomas, GTM 205,
@@ -332,13 +329,8 @@ def _pure_shape(f: RankVector):
     free = SullivanModel.free(generators_for(f))
     odds = [g for g in free.generators if g.is_odd]
     e = max((g.degree for g in free.generators if not g.is_odd), default=0)
-    tables = free._tables
     monomials = [
-        [
-            tables.decode(vec) for vec, odd_mask in tables.vectors(y.degree + 1)
-            if not odd_mask and sum(vec) >= 2
-        ]
-        for y in odds
+        [vec for vec in _even_exponents(free, y.degree + 1) if sum(vec) >= 2] for y in odds
     ]
     slices = []
     for k in range(n + 2 - n % 2, n + e + 1, 2):

@@ -180,24 +180,18 @@ def element_terms_data(x: Element) -> list[list[str]]:
 
 
 def monomial_from_word(model: SullivanModel, word: str) -> Monomial:
-    """Parse "x2^2*z1" back into a canonical monomial."""
+    """Parse "x2^2*z1" back into a canonical monomial.  Raises ValueError
+    on a factor that is no generator of model, an exponent below 1 or an
+    odd generator's exponent above 1."""
     if word == "1":
         return Monomial()
-    counts: dict[str, int] = {}
+    exps = []
     for factor in word.split("*"):
-        if "^" in factor:
-            name, _, e = factor.partition("^")
-            counts[name] = counts.get(name, 0) + int(e)
-        else:
-            counts[factor] = counts.get(factor, 0) + 1
-    index = model.generator_index
-    for name in counts:
-        if name not in index:
-            raise ValueError(f"unknown generator {name!r} in word {word!r}")
-    exps = tuple(
-        (name, counts[name]) for name in sorted(counts, key=index.__getitem__)
-    )
-    return Monomial(exps)
+        name, caret, e = factor.partition("^")
+        exps.append((name, int(e) if caret else 1))
+    # the model checks the factors and puts them in declaration order
+    (mon,) = model.monomial(Monomial(tuple(exps))).terms
+    return mon
 
 
 def element_from_data(model: SullivanModel, terms: Sequence[Sequence[str]]) -> Element:
@@ -391,23 +385,22 @@ def _relative_skeleton(
         GeneratorSpec(g.name, g.degree, "base") for g in base.generators
     ] + fiber_gens
     free = SullivanModel.free(gens)
-    # base differentials carry over verbatim: monomial names are shared and
-    # the relative generator order keeps base generators first
-    assignments = {}
-    for name in base.generator_names:
-        dx = base.d_of_generator(name)
-        if not dx.is_zero():
-            assignments[name] = free.element_from_terms(dx.terms)
+    # base differentials carry over with the fiber's exponents 0 appended,
+    # as the relative generator order keeps base generators first
+    pad = (0,) * len(fiber_gens)
+    assignments = {
+        name: Element(free, {vec + pad: c for vec, c in terms}) for name, terms in base.diff
+    }
     return free.with_differentials(assignments), fiber_gens
 
 
-def _candidate_monomials(free: SullivanModel, gen: GeneratorSpec) -> list[Monomial]:
-    """Degree deg(g)+1 monomials allowed in D(g): anything touching the
-    base, or a decomposable word in fiber generators alone."""
-    tables = free._tables
+def _candidate_monomials(free: SullivanModel, gen: GeneratorSpec) -> list[tuple[int, ...]]:
+    """Exponent vectors of the degree deg(g)+1 monomials allowed in D(g):
+    anything touching the base, or a decomposable word in fiber generators
+    alone."""
     base = [p for p, g in enumerate(free.generators) if g.origin == "base"]
     return [
-        tables.decode(vec) for vec, _ in tables.vectors(gen.degree + 1)
+        vec for vec, _ in free._tables.vectors(gen.degree + 1)
         if sum(vec) >= 2 or any(vec[p] for p in base)
     ]
 
@@ -567,7 +560,8 @@ def check_relative_cohomology(
         "coeff_set": [str(c) for c in coeffs],
         "skeleton": model_data(skeleton),
         "candidates": {
-            g.name: [m.format() for m in candidates[g.name]] for g in fiber_gens
+            g.name: [str(Element(skeleton, {vec: 1})) for vec in candidates[g.name]]
+            for g in fiber_gens
         },
         "branches": branches,
         "rejected_invalid": dropped,

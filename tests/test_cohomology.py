@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan import linalg
-from sullivan.algebra import SullivanModel
+from sullivan.algebra import Monomial, SullivanModel
 from sullivan.cohomology import (
     BettiTable,
     betti,
@@ -39,8 +39,8 @@ def product(*models):
         gens.extend(m.generators)
     free = SullivanModel.free(gens)
     for m in models:
-        for name, terms in m.diff:
-            diffs[name] = free.element_from_terms(dict(terms))
+        for name in m.generator_names:
+            diffs[name] = free.element_from_terms(m.d_of_generator(name).terms)
     return free.with_differentials(diffs)
 
 
@@ -301,3 +301,36 @@ class TestFractionFreeBetti:
         top = coboundary_matrix(model, 16)
         assert (top.nrows, top.ncols) == (973, 761)
         assert betti_table(model, 16).values == tuple(poincare + [0, 0])
+
+
+class TestBenchmarkWorkerContract:
+    def test_coboundary_answers_read_as_monomial_words(self):
+        """The path of perfbench/worker.py's run_coboundary: a queried
+        monomial built as unit * gen ** e, is_coboundary, then the
+        witness's terms or the functional read as [mon.format(), str(c)]
+        pairs, keyed by Monomial with Fraction values."""
+        model = seeded_square_pure(3)
+        want = {
+            (("x3", 2),): (True, [["y3", "1"]]),
+            (("x2", 2),): (False, [["x2^2", "2/3"], ["x3", "1"]]),
+            (("x1", 6),): (True, [
+                ["x2*x3*y1", "-6"], ["x2^3*y1", "1"], ["x1*x3*y1", "-3"], ["x1*x2*y3", "16"],
+                ["x1*x2*x3*y2", "-3"], ["x1*x2^2*y1", "1"], ["x1^2*y3", "31/9"],
+                ["x1^2*x3*y2", "-25/3"], ["x1^2*x2*y1", "1"], ["x1^2*x2^2*y2", "1"],
+                ["x1^3*y1", "1"],
+            ]),
+        }
+        for word, (exact, pairs) in want.items():
+            x = model.unit()
+            for name, e in word:
+                x = x * model.gen(name) ** e
+            verdict = is_coboundary(x)
+            assert verdict.is_coboundary is exact
+            if exact:
+                assert model.d(verdict.witness) == x
+                items = verdict.witness.terms.items()
+            else:
+                assert pair(verdict.functional, x) != 0
+                items = verdict.functional.items()
+            assert all(type(mon) is Monomial and type(c) is Fraction for mon, c in items)
+            assert [[mon.format(), str(c)] for mon, c in items] == pairs

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan.algebra import (
+    Monomial,
     coefficient_box,
     search_differentials,
     validate_model,
@@ -135,9 +136,15 @@ class TestSerialization:
                 assert monomial_from_word(m, mon.format()) == mon
 
     def test_monomial_from_word_rejects_unknown(self):
-        m = find_entry("S2").model
+        # S2xCP2 has generators a2, a3, b2, b5; an odd one squares to 0
+        m = find_entry("S2xCP2").model
+        for word in ("q7", "a3^2", "a2*a3*a3", "b2^0", "b2^-1", "b2^", "a2*"):
+            with pytest.raises(ValueError):
+                monomial_from_word(m, word)
+        with pytest.raises(ValueError, match="unknown generator 'q'"):
+            m.monomial(Monomial((("q", 1),)))
         with pytest.raises(ValueError):
-            monomial_from_word(m, "q7")
+            m.element_from_terms({Monomial((("a3", 2),)): 1})
 
     def test_model_roundtrip(self):
         for e in catalog():
@@ -289,6 +296,12 @@ class TestRelativeCohomologyKills:
         )
         detail = json.loads(json.dumps(cert.detail))
         detail["branches"][0]["computed"] += 1
+        assert not KillCertificate(cert.kind, detail).revalidate()
+        # a factor with exponent 0 makes the word no monomial, though
+        # dropping that factor would leave the recorded branch dz2 = x3
+        detail = json.loads(json.dumps(cert.detail))
+        (branch,) = [b for b in detail["branches"] if b["assignment"]["z2"]]
+        branch["assignment"]["z2"] = [["x3*z2^0", "1"]]
         assert not KillCertificate(cert.kind, detail).revalidate()
 
     def test_five_sphere_base_kill(self):

@@ -162,16 +162,15 @@ def reference_d(model, mon):
     """d(mon) by the Leibniz rule on words: for each letter g of the word
     w, splice each term of d(g) in at g's place with sign (-1)^|w before
     g|, and bring the word to canonical form with normalize_word.  Reads
-    d(g) from the model's stored data; no Element product is involved.
-    Returns the nonzero terms and how many spliced words died on a
-    repeated odd generator."""
-    diff = dict(model.diff)
+    d(g) from the model's differentials on generators; no Element product
+    is involved.  Returns the nonzero terms and how many spliced words died
+    on a repeated odd generator."""
     word = word_of(mon)
     out = {}
     died = 0
     before = 0
     for j, name in enumerate(word):
-        for tmon, c in diff.get(name, ()):
+        for tmon, c in model.d_of_generator(name).terms.items():
             canon, sign = model.normalize_word(word[:j] + word_of(tmon) + word[j + 1:])
             if canon is None:
                 died += 1
@@ -179,6 +178,39 @@ def reference_d(model, mon):
             out[canon] = out.get(canon, 0) + (-1) ** before * sign * c
         before += model.degree_of(name)
     return {m: c for m, c in out.items() if c}, died
+
+
+def random_terms(rng, model, degrees, max_terms=4):
+    """{Monomial: coefficient} with 1 to max_terms monomials, each from the
+    basis of a degree drawn from degrees, coefficients from FRACTIONS."""
+    out = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mon = rng.choice(model.basis_of_degree(rng.choice(degrees)))
+        out[mon] = Fraction(rng.choice(FRACTIONS))
+    return out
+
+
+def word_product(model, x, y):
+    """The nonzero terms of x * y for {Monomial: coefficient} maps, each
+    pair of monomials multiplied as their concatenated word by
+    normalize_word."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            mon, sign = model.normalize_word(word_of(a) + word_of(b))
+            if mon is not None:
+                out[mon] = out.get(mon, 0) + sign * ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def word_d(model, x):
+    """The nonzero terms of d(x) for a {Monomial: coefficient} map, by
+    reference_d on each monomial."""
+    out = {}
+    for mon, c in x.items():
+        for m, v in reference_d(model, mon)[0].items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
 
 
 def random_fraction_differential(rng, model):
@@ -200,7 +232,7 @@ class TestCompiledDifferential:
     def test_against_word_leibniz(self):
         rng = random.Random(404)
         checked = 0
-        seen = {"fraction": 0, "even_power": 0, "died": 0}
+        seen = {"fraction": 0, "even_power": 0, "died": 0, "multi_term": 0}
         while checked < CASES:
             model = random_fraction_differential(rng, random_free_model(rng, max_gens=5, max_degree=6))
             degrees = nonempty_degrees(model, 12)
@@ -212,24 +244,27 @@ class TestCompiledDifferential:
                 mon: Fraction(rng.choice(FRACTIONS))
                 for mon in rng.sample(list(basis), min(len(basis), rng.randint(1, 3)))
             }
-            want_x = {}
-            for mon, c in x.items():
+            for mon in x:
                 want, died = reference_d(model, mon)
                 assert model.d(model.monomial(mon)).terms == want
-                for m, v in want.items():
-                    want_x[m] = want_x.get(m, 0) + c * v
                 seen["died"] += died > 0
                 seen["even_power"] += any(e >= 2 and n in diff for n, e in mon.exps)
                 seen["fraction"] += any(
                     v.denominator > 1 for n, _ in mon.exps for _, v in diff.get(n, ())
                 )
-            want_x = {m: v for m, v in want_x.items() if v}
-            assert model.d(model.element_from_terms(x)).terms == want_x
+            assert model.d(model.element_from_terms(x)).terms == word_d(model, x)
+            # d of a product of multi-term elements, possibly inhomogeneous
+            y = random_terms(rng, model, degrees)
+            product_terms = word_product(model, x, y)
+            a, b = model.element_from_terms(x), model.element_from_terms(y)
+            assert model.d(a * b).terms == word_d(model, product_terms)
+            seen["multi_term"] += len(x) > 1 and len(y) > 1 and len(product_terms) > 1
             checked += 1
         assert min(seen.values()) >= 100, seen
 
     def test_products_against_words(self):
         rng = random.Random(505)
+        seen = {"mixed": 0, "multi_term": 0, "fraction": 0, "cancelled": 0}
         for _ in range(CASES):
             model = random_free_model(rng)
             degrees = nonempty_degrees(model, 9)
@@ -240,6 +275,22 @@ class TestCompiledDifferential:
             mon, sign = model.normalize_word(word_of(a) + word_of(b))
             want = model.zero() if mon is None else sign * model.monomial(mon)
             assert model.monomial(a) * model.monomial(b) == want
+            # multi-term elements with fractional coefficients
+            x, y = random_terms(rng, model, degrees), random_terms(rng, model, degrees)
+            if rng.random() < 0.3:  # a term that cancels in x + y
+                shared = rng.choice(list(x))
+                y[shared] = -x[shared]
+            ex, ey = model.element_from_terms(x), model.element_from_terms(y)
+            product_terms = word_product(model, x, y)
+            assert (ex * ey).terms == product_terms
+            total = {m: x.get(m, 0) + y.get(m, 0) for m in x.keys() | y.keys()}
+            assert (ex + ey).terms == {m: c for m, c in total.items() if c}
+            assert (-ex).terms == {m: -c for m, c in x.items()}
+            seen["mixed"] += {g.is_odd for g in model.generators} == {False, True}
+            seen["multi_term"] += len(x) > 1 and len(y) > 1 and len(product_terms) > 1
+            seen["fraction"] += any(c.denominator > 1 for c in product_terms.values())
+            seen["cancelled"] += len(total) > len([c for c in total.values() if c])
+        assert min(seen.values()) >= 100, seen
 
     def test_tables_leave_equality_hash_and_caches_alone(self):
         def build():
