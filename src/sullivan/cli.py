@@ -64,10 +64,12 @@ def _degree(text: str) -> int:
 
 def _read_model(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CommandError(f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     return parse_document(text)
 
 

@@ -71,12 +71,14 @@ def _tokenize(text: str) -> Iterator[Token]:
             while i < len(text) and (text[i].isalnum() or text[i] == "_"):
                 i += 1
             word = text[start:i]
+            if not word.isidentifier():
+                raise ParseError(f"{word!r} is not an identifier", line, col)
             yield Token("ident", word, line, col)
             col += i - start
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII: str.isdigit admits "²", which int() rejects
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             yield Token("int", text[start:i], line, col)
             col += i - start

@@ -2,16 +2,17 @@
 
 Vectors are dicts {index: Fraction} with zero entries absent; matrices
 hold sparse rows.  Every computation is exact, so ranks and solvability
-verdicts carry no numerical caveats.  There is one elimination,
-`extend_echelon`: a fraction-free echelon form in integer arithmetic
-(Bareiss, 1968), which also grows an echelon form one batch of vectors
-at a time for ranks that a search updates node by node.  A
-`RationalMatrix` is ranked by structural pivots read from its zero
-pattern, then by `extend_echelon` on the core they leave.  `rref`
-reduces the echelon form by back-substitution, for the nullspace.  One
-reduction of the matrix with an identity appended, [A | I], gives
-`solve` the row operations E with E A = rref(A), and the left nullspace
-as its rows that vanish on A.
+verdicts carry no numerical caveats.  Inside an elimination a row is an
+integer vector with content 1, changed only by `_clear`, which cancels
+one entry by integer cross-multiplication (Bareiss, 1968): in the
+echelon form of `extend_echelon`, which a search may grow batch by
+batch, and in `reduce_into`, which grows a reduced span and so
+back-substitutes for `rref`.  A `RationalMatrix` is ranked by structural
+pivots from its zero pattern, then by `extend_echelon` on the core they
+leave.  One reduction of [A | I] gives `solve` the row operations E with
+E A = rref(A), and the left nullspace as its rows that vanish on A.  A
+row is divided by its pivot entry only in an answer: a solution or a
+nullspace basis.
 """
 
 from __future__ import annotations
@@ -22,18 +23,6 @@ from math import gcd, lcm
 
 SparseVec = dict[int, Fraction]
 IntVec = dict[int, int]
-
-
-def vec_add_scaled(target: SparseVec, src: SparseVec, c: Fraction) -> None:
-    """target += c * src, in place, dropping zeros."""
-    if not c:
-        return
-    for j, v in src.items():
-        new = target.get(j, Fraction(0)) + c * v
-        if new:
-            target[j] = new
-        else:
-            target.pop(j, None)
 
 
 def vec_dot(a: SparseVec, b: SparseVec) -> Fraction:
@@ -48,11 +37,10 @@ class RationalMatrix:
     def __init__(self, rows: Iterable[SparseVec], ncols: int):
         self.rows = [dict(r) for r in rows]
         self.ncols = ncols
-        self._rref: tuple[list[SparseVec], list[int]] | None = None
         self._rank: int | None = None
         # from the reduced [A | I]: column i of E as {p: E[p][i]}, keyed by
-        # the pivot p of each row, and the left-kernel rows
-        self._augmented: tuple[list[SparseVec], list[SparseVec]] | None = None
+        # the pivot p of each row, each row's pivot entry, the left kernel
+        self._augmented: tuple[list[IntVec], IntVec, list[SparseVec]] | None = None
 
     @property
     def nrows(self) -> int:
@@ -66,12 +54,6 @@ class RationalMatrix:
         return RationalMatrix(cols, self.nrows)
 
     # -- elimination -----------------------------------------------------
-
-    def rref(self) -> tuple[list[SparseVec], list[int]]:
-        """Reduced row echelon form (rows, pivot column per row), computed once."""
-        if self._rref is None:
-            self._rref = rref(self.rows)
-        return self._rref
 
     def rank(self) -> int:
         """Exact rank, computed once, leaving the rows as they are.
@@ -121,76 +103,96 @@ class RationalMatrix:
 
         The rows of the reduced [A | I] are (R | E) with E A = R, R =
         rref(A) above its zero rows, so E rhs is the reduced form of rhs:
-        its entry at a pivot p of A is y[p], and one at a pivot in I (a
-        left-kernel row of E) means the system is inconsistent.  E is kept
-        by column, so a query costs as much as the nonzero entries of rhs.
-        An index of rhs outside range(nrows) raises ValueError.
+        its entry at a pivot p of A over row p's pivot entry is y[p], and
+        one at a pivot in I (a left-kernel row of E) means the system is
+        inconsistent.  E is kept by column, so a query costs as much as
+        the nonzero entries of rhs.  An index of rhs outside range(nrows)
+        raises ValueError.
         """
         if not isinstance(rhs, dict):
             rhs = dict(enumerate(rhs))
         bad = [i for i in rhs if not 0 <= i < self.nrows]
         if bad:
             raise ValueError(f"right-hand side index {bad[0]} outside range({self.nrows})")
-        inverse = self._reduce_augmented()[0]
-        reduced_rhs: SparseVec = {}
+        inverse, leads, _ = self._reduce_augmented()
+        sums: dict[int, int | Fraction] = {}
         for i, c in rhs.items():
-            vec_add_scaled(reduced_rhs, inverse[i], Fraction(c))
+            for p, e in inverse[i].items():
+                sums[p] = sums.get(p, 0) + c * e
         n = self.ncols
         y = [Fraction(0)] * n
-        for p, c in reduced_rhs.items():
-            if p >= n:
-                return None
-            y[p] = c
+        for p, s in sums.items():
+            if s:
+                if p >= n:
+                    return None
+                y[p] = Fraction(s, leads[p])
         return y
 
-    def _reduce_augmented(self) -> tuple[list[SparseVec], list[SparseVec]]:
-        """Reduce [A | I] once: the columns of E, and the rows (0 | e)
-        whose pivot lies in I, so that e A = 0, as a left-kernel basis."""
+    def _reduce_augmented(self) -> tuple[list[IntVec], IntVec, list[SparseVec]]:
+        """Reduce [A | I] once: the integer columns of E, the entry of each
+        row at its pivot, and, as a left-kernel basis, the rows (0 | e)
+        whose pivot lies in I, so that e A = 0, divided by that entry."""
         if self._augmented is None:
             n = self.ncols
-            reduced, pivots = rref([{**row, n + i: 1} for i, row in enumerate(self.rows)])
-            inverse: list[SparseVec] = [{} for _ in self.rows]
-            for row, p in zip(reduced, pivots):
+            reduced = rref([{**row, n + i: 1} for i, row in enumerate(self.rows)])
+            inverse: list[IntVec] = [{} for _ in self.rows]
+            for p, row in reduced.items():
                 for j, e in row.items():
                     if j >= n:
                         inverse[j - n][p] = e
+            leads = {p: row[p] for p, row in reduced.items()}
             kernel = [
-                {j - n: e for j, e in row.items()} for row, p in zip(reduced, pivots) if p >= n
+                {j - n: Fraction(e, row[p]) for j, e in row.items()}
+                for p, row in reduced.items() if p >= n
             ]
-            self._augmented = inverse, kernel
+            self._augmented = inverse, leads, kernel
         return self._augmented
 
     def nullspace_basis(self) -> list[SparseVec]:
         """Basis of {v : (self) v = 0}, one vector per free column."""
-        reduced, pivots = self.rref()
-        free = sorted(set(range(self.ncols)) - set(pivots))
+        reduced = rref(self.rows)
         return [
-            {f: Fraction(1), **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
-            for f in free
+            {f: Fraction(1), **{p: Fraction(-row[f], row[p]) for p, row in reduced.items() if f in row}}
+            for f in range(self.ncols) if f not in reduced
         ]
 
     def left_nullspace_basis(self) -> list[SparseVec]:
         """Basis of {w : w (self) = 0}: the rows (0 | e) of the reduced
         [A | I] that `solve` reads, one per row of A beyond its rank."""
-        return self._reduce_augmented()[1]
+        return self._reduce_augmented()[2]
 
 
-def rref(rows: Sequence[Mapping]) -> tuple[list[SparseVec], list[int]]:
+def rref(rows: Sequence[Mapping]) -> dict[int, IntVec]:
     """Reduced row echelon form of sparse rows, which are left as they are.
 
-    Returns the nonzero rows and their pivot columns, in ascending pivot
-    order.  The rows are brought to echelon form by `extend_echelon`;
-    then, in descending lead order, each echelon row is divided by its
-    lead and has its entries at the larger pivots cleared against the
-    rows already reduced.  The reduced form is unique, so it does not
-    depend on the order of the rows.
+    Returns {pivot: row} in ascending pivot order, each row an integer
+    vector with content 1 that leads at its pivot and is 0 at the other
+    pivots; divided by its pivot entry it is a row of the reduced form
+    over Q, which is unique.  `extend_echelon` makes an echelon form, whose
+    rows go into `reduce_into` in descending lead order.
     """
-    reduced: dict[int, SparseVec] = {}
-    for lead, row in sorted(extend_echelon({}, rows, len(rows)).items(), reverse=True):
-        a = row[lead]
-        reduced[lead] = reduce_against(reduced, {j: Fraction(v, a) for j, v in row.items()})
-    pivots = sorted(reduced)
-    return [reduced[p] for p in pivots], pivots
+    reduced: dict[int, IntVec] = {}
+    for _, row in sorted(extend_echelon({}, rows, len(rows)).items(), reverse=True):
+        reduce_into(reduced, row)
+    return dict(sorted(reduced.items()))
+
+
+def reduce_into(reduced: dict[int, IntVec], vec: Mapping) -> IntVec:
+    """Add vec to the span of reduced, rows keyed by pivot as `rref`
+    returns them, in place, and return vec's residue: vec scaled to
+    coprime integers and cleared at the pivots it holds, so 0 at every
+    pivot.  A nonzero residue is cleared from the other rows at its lead
+    and filed under its lead, so the rows stay reduced."""
+    row = _primitive(vec)
+    for p in [p for p in row if p in reduced]:
+        row = _clear(row, reduced[p], p)
+    if row:
+        lead = min(row)
+        for p, other in reduced.items():
+            if lead in other:
+                reduced[p] = _clear(other, row, lead)
+        reduced[lead] = row
+    return row
 
 
 def extend_echelon(
@@ -200,13 +202,11 @@ def extend_echelon(
 
     An echelon maps the lead (smallest index) of each row to the row, an
     integer vector with content 1; the leads are distinct, so the rank is
-    its length.  Each new vector is scaled by the lcm of its denominators
-    and divided by its gcd, then has its lead cleared against the row
-    with that lead by integer cross-multiplication (again divided by the
-    gcd) until its lead is new or nothing is left.  Returns a new dict and
-    leaves echelon and its rows as they are.  dim is the dimension of the
-    ambient space: once the rank reaches it, the remaining vectors are not
-    looked at.
+    its length.  Each new vector is scaled to coprime integers, then has
+    its lead cleared against the row with that lead until its lead is new
+    or nothing is left.  Returns a new dict and leaves echelon and its
+    rows as they are.  dim is the dimension of the ambient space: once the
+    rank reaches it, the remaining vectors are not looked at.
     """
     out = dict(echelon)
     for vec in vectors:
@@ -219,18 +219,24 @@ def extend_echelon(
             if pivot is None:
                 out[lead] = row
                 break
-            a, b = pivot[lead], row[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            cleared = {j: a * v for j, v in row.items()}
-            for j, v in pivot.items():
-                w = cleared.get(j, 0) - b * v
-                if w:
-                    cleared[j] = w
-                else:
-                    del cleared[j]
-            row = _content_free(cleared)
+            row = _clear(row, pivot, lead)
     return out
+
+
+def _clear(row: IntVec, pivot: IntVec, col: int) -> IntVec:
+    """a row - b pivot, for the coprime a and b that cancel the entries at
+    col, divided by its content: the one row operation of this module."""
+    a, b = pivot[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    cleared = {j: a * v for j, v in row.items()}
+    for j, v in pivot.items():
+        w = cleared.get(j, 0) - b * v
+        if w:
+            cleared[j] = w
+        else:
+            del cleared[j]
+    return _content_free(cleared)
 
 
 def _primitive(vec: Mapping) -> IntVec:
@@ -242,14 +248,3 @@ def _primitive(vec: Mapping) -> IntVec:
 def _content_free(row: IntVec) -> IntVec:
     g = gcd(*row.values())
     return {j: v // g for j, v in row.items()} if g > 1 else row
-
-
-def reduce_against(reduced: Mapping[int, SparseVec], vec: SparseVec) -> SparseVec:
-    """Residue of vec modulo the span of reduced rows keyed by pivot: each
-    row is 1 at its pivot and 0 at every other pivot, so clearing one pivot
-    of vec leaves its other pivot entries as they are, and only the pivots
-    vec holds are cleared."""
-    out = dict(vec)
-    for p in [p for p in vec if p in reduced]:
-        vec_add_scaled(out, reduced[p], -out[p])
-    return out

@@ -53,7 +53,7 @@ from .ellipticity import (
     rank_vector_of_model,
 )
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
-from .linalg import reduce_against, rref, vec_add_scaled
+from .linalg import reduce_into, rref
 
 TWO_SPHERE = RankVector.of({2: 1, 3: 1})
 
@@ -441,26 +441,20 @@ def _witness_classes(
     image_rows: list = []
     if k > 0:
         image_rows = coboundary_matrix(model, k - 1).transpose().rows
-    reduced, pivots = rref(image_rows)
-    image_rank = len(pivots)
+    span = rref(image_rows)
+    image_rank = len(span)
     basis = model.basis_of_degree(k)
-    image_monomials = [basis[p].format() for p in pivots]
+    image_monomials = [basis[p].format() for p in span]
     witnesses: list[str] = []
-    span = dict(zip(pivots, reduced))
     for vec in kernel:
-        residue = reduce_against(span, vec)
-        if not residue:
-            continue
-        lead = min(residue)
-        scaled = {i: c / residue[lead] for i, c in residue.items()}
-        witnesses.append(str(vector_to_element(model, scaled, k)))
-        if len(witnesses) >= limit:
-            break
-        # grow the span by the residue, which is 0 at its pivots, and
-        # clear the residue's pivot from its rows, so the span stays reduced
-        for row in span.values():
-            vec_add_scaled(row, scaled, -row.get(lead, 0))
-        span[lead] = scaled
+        # the residue, 0 at the span's pivots, joins the span
+        residue = reduce_into(span, vec)
+        if residue:
+            lead = residue[min(residue)]
+            scaled = {i: Fraction(c, lead) for i, c in residue.items()}
+            witnesses.append(str(vector_to_element(model, scaled, k)))
+            if len(witnesses) >= limit:
+                break
     return witnesses, image_rank, image_monomials
 
 

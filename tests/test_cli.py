@@ -94,6 +94,24 @@ class TestModelCheck:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("model", "check"),
+            ("model", "cohomology", "--max-degree", "4"),
+            ("check", "submersion", "--max-base-dim", "4", "--total"),
+            ("fibration", "wang", "--sphere", "2", "--fiber-dim", "2", "--total"),
+        ],
+    )
+    def test_file_not_utf8_exits_2(self, capsys, tmp_path, command):
+        # every command that reads a model file decodes it the same way
+        path = tmp_path / "latin1.model"
+        text = b"space X {\n    generator x : 2; \xff\n}\n"
+        path.write_bytes(text)
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (2, "")
+        assert f"cannot read {path}: not UTF-8 text (byte {text.index(0xff)}:" in err
+
 
 class TestModelCohomology:
     def test_text_line(self, capsys, cp2_file):

@@ -149,6 +149,23 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_model(text)
 
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            # str.isdigit admits superscript digits, which int() rejects
+            ("space M {\n  generator x : \u00b2;\n}", 2, 17, "unexpected character"),
+            ("space M {\n  generator x : 2;\n  generator y : 3;\n  d y = x^\u00b2;\n}",
+             4, 11, "unexpected character"),
+            # str.isalnum admits them inside a word, which is then no identifier
+            ("space M {\n  generator x\u00b2 : 2;\n}", 2, 13, "is not an identifier"),
+        ],
+    )
+    def test_non_ascii_digits_are_parse_errors(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in err.value.message
+
     def test_expected_tokens_attached(self):
         with pytest.raises(ParseError) as err:
             parse_model("space M generator x2:2; }")

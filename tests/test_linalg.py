@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_properties import gauss_jordan_rref, rational_rref
 
 from sullivan import linalg
-from sullivan.linalg import RationalMatrix, reduce_against, rref, vec_add_scaled, vec_dot
+from sullivan.linalg import RationalMatrix, reduce_into, rref, vec_dot
 
 
 def vec_from_dense(xs):
@@ -72,11 +73,6 @@ class TestVectors:
     def test_from_dense_drops_zeros(self):
         assert vec_from_dense([0, 1, 0, Fraction(2, 3)]) == {1: 1, 3: Fraction(2, 3)}
 
-    def test_add_scaled(self):
-        a = {0: Fraction(1), 1: Fraction(2)}
-        vec_add_scaled(a, {1: Fraction(-1), 2: Fraction(3)}, Fraction(2))
-        assert a == {0: 1, 2: 6}
-
     def test_dot(self):
         assert vec_dot({0: Fraction(2), 3: Fraction(1)}, {0: Fraction(3)}) == 6
         assert vec_dot({}, {0: Fraction(1)}) == 0
@@ -114,28 +110,37 @@ class TestRank:
         assert m.rank() == m.transpose().rank()
 
 
+def combination(rows, coeffs):
+    out: dict[int, Fraction] = {}
+    for row, c in zip(rows, coeffs):
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + c * v
+    return {j: v for j, v in out.items() if v}
+
+
 class TestRref:
     def test_pivots_normalized_and_cleared(self):
-        rows, pivots = rref([{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 2: Fraction(1)}])
-        assert pivots == [0, 1]
-        for row, p in zip(rows, pivots):
-            assert row[p] == 1
+        rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 2: Fraction(1)}]
+        reduced = rref(rows)
+        assert list(reduced) == [0, 1]
+        assert rational_rref(reduced) == gauss_jordan_rref(rows, 3)
         # column 0 appears only in its pivot row
-        assert all(0 not in row for row in rows[1:])
+        assert 0 not in reduced[1]
 
-    def test_reduce_against_rowspace_member(self):
+    def test_reduce_into_rowspace_member(self):
         rng = random.Random(7)
         rows = random_sparse(rng, 5, 7)
-        reduced, pivots = rref(rows)
-        combo: dict[int, Fraction] = {}
-        for i, r in enumerate(rows):
-            vec_add_scaled(combo, r, Fraction(i + 1, 2))
-        assert reduce_against(dict(zip(pivots, reduced)), combo) == {}
+        reduced = rref(rows)
+        before = {p: dict(row) for p, row in reduced.items()}
+        combo = combination(rows, [Fraction(i + 1, 2) for i in range(len(rows))])
+        assert reduce_into(reduced, combo) == {}
+        assert reduced == before
 
-    def test_reduce_against_outsider(self):
-        reduced, pivots = rref([{0: Fraction(1)}])
-        res = reduce_against(dict(zip(pivots, reduced)), {0: Fraction(2), 1: Fraction(1)})
+    def test_reduce_into_outsider(self):
+        reduced = rref([{0: Fraction(1)}])
+        res = reduce_into(reduced, {0: Fraction(2), 1: Fraction(1, 3)})
         assert res == {1: 1}
+        assert reduced == {0: {0: 1}, 1: {1: 1}}
 
 
 class ScanCountingRow(dict):
@@ -158,9 +163,9 @@ class TestRrefPivotSearch:
         rows = [ScanCountingRow({i: Fraction(2), i + 1: Fraction(-1)}) for i in range(n - 1)]
         rows.append(ScanCountingRow({n - 1: Fraction(2)}))
         random.Random(400).shuffle(rows)
-        reduced, pivots = rref(rows)
-        assert pivots == list(range(n))
-        assert all(row == {i: 1} for i, row in enumerate(reduced))
+        reduced = rref(rows)
+        assert list(reduced) == list(range(n))
+        assert all(row == {i: 1} for i, row in reduced.items())
         assert sum(r.scans for r in rows) <= 3 * n
 
 
@@ -252,8 +257,8 @@ class TestSingleElimination:
     @pytest.mark.parametrize("solve_first", [True, False])
     def test_queries_share_one_rref(self, monkeypatch, solve_first):
         """However many queries a matrix answers, it runs one elimination
-        for solve and the left nullspace (of [A | I]) and one for rref and
-        the nullspace, and leaves its rows as they are."""
+        for solve and the left nullspace (of [A | I]), and one rref per
+        nullspace_basis, and leaves its rows as they are."""
         calls = counted(monkeypatch, "rref")
         rng = random.Random(11)
         rows = random_sparse(rng, 7, 6)
@@ -264,8 +269,7 @@ class TestSingleElimination:
             m.solve({0: Fraction(1)})
         else:
             m.rank()
-        reduced, pivots = m.rref()
-        snapshot = ([dict(r) for r in reduced], list(pivots))
+        kernel = m.nullspace_basis()
         for _ in range(5):
             y_true = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
             rhs = matvec(rows, y_true)
@@ -273,11 +277,11 @@ class TestSingleElimination:
             assert matvec(rows, y) == rhs
             m.solve({i: Fraction(1) for i in range(7)})
         m.rank()
-        m.nullspace_basis()
         m.left_nullspace_basis()
         assert len(calls) == 2
         assert m.rows == before
-        assert m.rref() == snapshot
+        assert m.nullspace_basis() == kernel
+        assert len(calls) == 3
 
 
 def rank_case(rng):
@@ -299,7 +303,8 @@ def rank_case(rng):
 class TestFractionFreeRank:
     def test_matches_dense_oracle_before_and_after_rref(self):
         """rank(), the length of the fraction-free echelon, equals the
-        dense oracle whether it runs first, after rref() or after solve()."""
+        dense oracle whether it runs first, after nullspace_basis() (which
+        runs rref) or after solve()."""
         rng = random.Random(1919)
         seen = {"fraction": 0, "zero_row": 0, "repeated": 0, "deficient": 0}
         for _ in range(300):
@@ -307,10 +312,10 @@ class TestFractionFreeRank:
             want = dense_rank_oracle(rows, ncols)
             first = RationalMatrix(rows, ncols)
             assert first.rank() == want
-            first.rref()
+            first.nullspace_basis()
             assert first.rank() == want
             after = RationalMatrix(rows, ncols)
-            after.rref()
+            after.nullspace_basis()
             assert after.rank() == want
             solved = RationalMatrix(rows, ncols)
             solved.solve({0: Fraction(1)})

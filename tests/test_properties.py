@@ -26,7 +26,7 @@ from sullivan.cohomology import betti, coboundary_matrix, element_to_vector
 from sullivan.dsl import parse_model
 from sullivan.ellipticity import RankVector
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
-from sullivan.linalg import RationalMatrix, extend_echelon, rref
+from sullivan.linalg import RationalMatrix, extend_echelon, reduce_into, rref
 from sullivan.pipeline import _candidate_monomials, _coeff_tuple, _relative_skeleton, find_entry
 
 CASES = 1000
@@ -485,6 +485,27 @@ def gauss_jordan_rref(rows, ncols):
     return [{j: v for j, v in enumerate(row) if v} for row in dense[:len(pivots)]], pivots
 
 
+def rational_rref(reduced):
+    """rref's integer rows, each divided by its entry at its pivot, and the
+    pivots: the form gauss_jordan_rref returns.  Checks on the way that
+    each row is integral with content 1 and leads at its pivot."""
+    for p, row in reduced.items():
+        assert min(row) == p
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+    return [{j: Fraction(v, row[p]) for j, v in row.items()} for p, row in reduced.items()], list(reduced)
+
+
+def oracle_nullspace(rows, ncols):
+    """Kernel basis from the dense Gauss-Jordan rows: one vector per free
+    column f, 1 at f and minus the column's entry at each pivot."""
+    reduced, pivots = gauss_jordan_rref(rows, ncols)
+    return [
+        {f: 1, **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
+        for f in range(ncols) if f not in pivots
+    ]
+
+
 def gauss_jordan_solve(rows, ncols, rhs):
     """Reference solve: Gauss-Jordan on the augmented matrix [A | b].
     Returns the solution with free variables 0, or None when a row reads
@@ -593,21 +614,22 @@ def tied_system(rng):
 
 class TestRrefOracle:
     def test_against_dense_gauss_jordan(self):
-        """rref, alone and on a RationalMatrix, gives the reduced rows and
-        pivots of dense Gauss-Jordan and leaves its rows as they are, on
-        matrices where several rows share a lead and a length; solve gives
-        Gauss-Jordan's free-variables-0 solution for consistent and random
-        right-hand sides."""
+        """rref's primitive integer rows, each divided by its entry at its
+        pivot, are the reduced rows of dense Gauss-Jordan, and rref leaves
+        its rows as they are, on matrices where several rows share a lead
+        and a length; nullspace_basis reads them as Gauss-Jordan's kernel
+        basis; solve gives Gauss-Jordan's free-variables-0 solution for
+        consistent and random right-hand sides."""
         rng = random.Random(1111)
         seen = {"tie": 0, "duplicate": 0, "zero_row": 0, "fraction": 0, "inconsistent": 0}
         for _ in range(CASES):
             rows, ncols = tied_system(rng)
             want = gauss_jordan_rref(rows, ncols)
             before = [dict(r) for r in rows]
-            assert rref(rows) == want
+            assert rational_rref(rref(rows)) == want
             assert rows == before
             m = RationalMatrix(rows, ncols)
-            assert m.rref() == want
+            assert m.nullspace_basis() == oracle_nullspace(rows, ncols)
             y_true = [Fraction(rng.choice(FRACTIONS)) if rng.random() < 0.5 else 0 for _ in range(ncols)]
             consistent = {
                 i: s for i, r in enumerate(rows) if (s := sum(v * y_true[j] for j, v in r.items()))
@@ -624,6 +646,33 @@ class TestRrefOracle:
             seen["zero_row"] += any(not r for r in rows)
             seen["fraction"] += any(v.denominator > 1 for r in rows for v in r.values())
             seen["inconsistent"] += expected is None
+        assert min(seen.values()) >= 100, seen
+
+
+class TestReducedSpanGrowth:
+    def test_reduce_into_against_rref_of_the_union(self):
+        """Growing a reduced span one random rational vector at a time with
+        reduce_into gives, after each vector, the reduced form of all the
+        vectors so far by the dense Gauss-Jordan oracle; each residue is 0
+        at the pivots the span had before it, and is empty exactly when the
+        vector lies in that span."""
+        rng = random.Random(2727)
+        seen = {"member": 0, "new_lead_below": 0, "clears_others": 0, "fraction": 0}
+        for _ in range(CASES):
+            vectors, ncols = random_system(rng)
+            span = rref(vectors[:1])
+            for i in range(1, len(vectors)):
+                earlier = {p: dict(row) for p, row in span.items()}
+                residue = reduce_into(span, vectors[i])
+                assert not set(residue) & set(earlier)
+                grew = rank_of(vectors[: i + 1], ncols) > len(earlier)
+                assert bool(residue) == grew
+                assert rational_rref(dict(sorted(span.items()))) == gauss_jordan_rref(vectors[: i + 1], ncols)
+                seen["member"] += not residue
+                if residue:
+                    seen["new_lead_below"] += min(residue) < max(earlier, default=-1)
+                    seen["clears_others"] += any(min(residue) in row for row in earlier.values())
+            seen["fraction"] += any(v.denominator > 1 for r in vectors for v in r.values())
         assert min(seen.values()) >= 100, seen
 
 
