@@ -6,11 +6,15 @@ verdicts carry no numerical caveats.  Inside an elimination a row is an
 integer vector with content 1, changed only by `_clear`, which cancels
 one entry by integer cross-multiplication (Bareiss, 1968): in the
 echelon form of `extend_echelon`, which a search may grow batch by
-batch, and in `reduce_into`, which grows a reduced span and so
-back-substitutes for `rref`.  A `RationalMatrix` is ranked by structural
-pivots from its zero pattern, then by `extend_echelon` on the core they
-leave.  One reduction of [A | I] gives `solve` the row operations E with
-E A = rref(A), and the left nullspace as its rows that vanish on A.  A
+batch, in `rref`'s back-substitution, and in `reduce_into`, which grows
+a reduced span.  `row_basis` is the one rank routine: on sparse columns,
+it takes structural pivots from the zero pattern, then runs
+`extend_echelon` on the core they leave, and names the rows of a basis
+of the row space, as many as the rank; `RationalMatrix.rank` is it on
+the matrix's own columns.  One reduction of [A | I] gives `solve` the row
+operations E with E A = rref(A), and the left nullspace as its rows that
+vanish on A; a right-hand side that `solve` rejects is separated by the
+one of those rows with the smallest pivot at which E rhs is not 0.  A
 row is divided by its pivot entry only in an answer: a solution or a
 nullspace basis.
 """
@@ -25,12 +29,6 @@ SparseVec = dict[int, Fraction]
 IntVec = dict[int, int]
 
 
-def vec_dot(a: SparseVec, b: SparseVec) -> Fraction:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum((v * b[j] for j, v in a.items() if j in b), Fraction(0))
-
-
 class RationalMatrix:
     """Sparse rows of exact rationals, int or Fraction, with exact elimination."""
 
@@ -39,8 +37,9 @@ class RationalMatrix:
         self.ncols = ncols
         self._rank: int | None = None
         # from the reduced [A | I]: column i of E as {p: E[p][i]}, keyed by
-        # the pivot p of each row, each row's pivot entry, the left kernel
-        self._augmented: tuple[list[IntVec], IntVec, list[SparseVec]] | None = None
+        # the pivot p of each row, each row's pivot entry, the left kernel,
+        # and its rows keyed by pivot
+        self._augmented: tuple[list[IntVec], IntVec, list[SparseVec], dict[int, SparseVec]] | None = None
 
     @property
     def nrows(self) -> int:
@@ -56,46 +55,15 @@ class RationalMatrix:
     # -- elimination -----------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank, computed once, leaving the rows as they are.
-
-        Structural pivots first, from the zero pattern alone (structured
-        Gaussian elimination, LaMacchia and Odlyzko, 1990): a column with
-        one nonzero makes its row independent of the others, so the row
-        goes; a row with one nonzero, at column j, clears column j from
-        the others, so column j goes.  Each adds 1 to the rank.  The core
-        left is transposed, its old rows sparsest first so that leads fall
-        on sparse columns, and ranked by `extend_echelon`, sparsest
-        vectors first.
-        """
+        """Exact rank, computed once by `row_basis` on the columns, leaving
+        the rows as they are."""
         if self._rank is None:
-            rows = [{j for j, v in row.items() if v} for row in self.rows]
-            cols: list[set[int]] = [set() for _ in range(self.ncols)]
-            for i, row in enumerate(rows):
-                for j in row:
-                    cols[j].add(i)
-            # a line a (row or column) with one nonzero, in line b of the
-            # other side, removes line b
-            sides = (rows, cols), (cols, rows)
-            todo = [(s, a) for s in (0, 1) for a, line in enumerate(sides[s][0]) if len(line) == 1]
-            peeled = 0
-            while todo:
-                s, a = todo.pop()
-                lines, cross = sides[s]
-                if len(lines[a]) == 1:
-                    (b,) = lines[a]
-                    peeled += 1
-                    for c in cross[b]:
-                        lines[c].discard(b)
-                        if len(lines[c]) == 1:
-                            todo.append((s, c))
-                    cross[b] = set()
-            core = sorted((i for i, row in enumerate(rows) if row), key=lambda i: len(rows[i]))
-            columns: dict[int, SparseVec] = {}
-            for p, i in enumerate(core):
-                for j in rows[i]:
-                    columns.setdefault(j, {})[p] = self.rows[i][j]
-            core_rank = extend_echelon({}, sorted(columns.values(), key=len), len(core))
-            self._rank = peeled + len(core_rank)
+            columns: list[dict] = [{} for _ in range(self.ncols)]
+            for i, row in enumerate(self.rows):
+                for j, v in row.items():
+                    if v:
+                        columns[j][i] = v
+            self._rank = len(row_basis(columns))
         return self._rank
 
     def solve(self, rhs: SparseVec | Sequence) -> list[Fraction] | None:
@@ -109,16 +77,8 @@ class RationalMatrix:
         the nonzero entries of rhs.  An index of rhs outside range(nrows)
         raises ValueError.
         """
-        if not isinstance(rhs, dict):
-            rhs = dict(enumerate(rhs))
-        bad = [i for i in rhs if not 0 <= i < self.nrows]
-        if bad:
-            raise ValueError(f"right-hand side index {bad[0]} outside range({self.nrows})")
-        inverse, leads, _ = self._reduce_augmented()
-        sums: dict[int, int | Fraction] = {}
-        for i, c in rhs.items():
-            for p, e in inverse[i].items():
-                sums[p] = sums.get(p, 0) + c * e
+        sums = self._apply_inverse(rhs)
+        leads = self._reduce_augmented()[1]
         n = self.ncols
         y = [Fraction(0)] * n
         for p, s in sums.items():
@@ -128,10 +88,33 @@ class RationalMatrix:
                 y[p] = Fraction(s, leads[p])
         return y
 
-    def _reduce_augmented(self) -> tuple[list[IntVec], IntVec, list[SparseVec]]:
+    def separating_functional(self, rhs: SparseVec | Sequence) -> SparseVec | None:
+        """A w with w (self) = 0 and w rhs != 0, or None when (self) y =
+        rhs is solvable: of the `left_nullspace_basis` rows, the one with
+        the smallest pivot at which E rhs, as `solve` reads it, is not 0."""
+        kernel_at = self._reduce_augmented()[3]
+        hits = [p for p, s in self._apply_inverse(rhs).items() if s and p in kernel_at]
+        return kernel_at[min(hits)] if hits else None
+
+    def _apply_inverse(self, rhs: SparseVec | Sequence) -> dict[int, int | Fraction]:
+        """E rhs, keyed by the pivots of the reduced [A | I]."""
+        if not isinstance(rhs, dict):
+            rhs = dict(enumerate(rhs))
+        bad = [i for i in rhs if not 0 <= i < self.nrows]
+        if bad:
+            raise ValueError(f"right-hand side index {bad[0]} outside range({self.nrows})")
+        inverse = self._reduce_augmented()[0]
+        sums: dict[int, int | Fraction] = {}
+        for i, c in rhs.items():
+            for p, e in inverse[i].items():
+                sums[p] = sums.get(p, 0) + c * e
+        return sums
+
+    def _reduce_augmented(self) -> tuple[list[IntVec], IntVec, list[SparseVec], dict[int, SparseVec]]:
         """Reduce [A | I] once: the integer columns of E, the entry of each
         row at its pivot, and, as a left-kernel basis, the rows (0 | e)
-        whose pivot lies in I, so that e A = 0, divided by that entry."""
+        whose pivot lies in I, so that e A = 0, divided by that entry, in
+        a list and keyed by pivot."""
         if self._augmented is None:
             n = self.ncols
             reduced = rref([{**row, n + i: 1} for i, row in enumerate(self.rows)])
@@ -141,11 +124,11 @@ class RationalMatrix:
                     if j >= n:
                         inverse[j - n][p] = e
             leads = {p: row[p] for p, row in reduced.items()}
-            kernel = [
-                {j - n: Fraction(e, row[p]) for j, e in row.items()}
+            kernel_at = {
+                p: {j - n: Fraction(e, row[p]) for j, e in row.items()}
                 for p, row in reduced.items() if p >= n
-            ]
-            self._augmented = inverse, leads, kernel
+            }
+            self._augmented = inverse, leads, list(kernel_at.values()), kernel_at
         return self._augmented
 
     def nullspace_basis(self) -> list[SparseVec]:
@@ -162,19 +145,71 @@ class RationalMatrix:
         return self._reduce_augmented()[2]
 
 
+def row_basis(columns: Sequence[Mapping]) -> set[int]:
+    """Row indices of a basis of the row space of the matrix whose
+    columns are the given sparse columns {row: nonzero entry}; the rank
+    is its size.
+
+    Structural pivots first, from the zero pattern alone (structured
+    Gaussian elimination, LaMacchia and Odlyzko, 1990): a column with one
+    nonzero makes its row independent of the others, so the row goes; a
+    row with one nonzero, at column j, clears column j from the others,
+    so column j goes.  Either way the row joins the basis.  The rows of
+    the core left, sparsest first so that leads fall on sparse rows, are
+    the coordinates of the core's columns, which `extend_echelon` takes
+    sparsest first; the rows its leads fall on complete the basis.
+    """
+    if not any(columns):
+        return set()
+    cols = [set(column) for column in columns]
+    rows: dict[int, set[int]] = {}
+    for j, column in enumerate(cols):
+        for i in column:
+            rows.setdefault(i, set()).add(j)
+    # a line a (row or column) with one nonzero, in line b of the other
+    # side, removes line b, and the row of the two joins the basis
+    sides = (rows, cols), (cols, rows)
+    todo = [(0, i) for i, row in rows.items() if len(row) == 1]
+    todo += [(1, j) for j, column in enumerate(cols) if len(column) == 1]
+    basis = set()
+    while todo:
+        s, a = todo.pop()
+        lines, cross = sides[s]
+        if len(lines[a]) == 1:
+            (b,) = lines[a]
+            basis.add(b if s else a)
+            for c in cross[b]:
+                lines[c].discard(b)
+                if len(lines[c]) == 1:
+                    todo.append((s, c))
+            cross[b] = set()
+    core = sorted((i for i, row in rows.items() if row), key=lambda i: len(rows[i]))
+    vectors: dict[int, SparseVec] = {}
+    for p, i in enumerate(core):
+        for j in rows[i]:
+            vectors.setdefault(j, {})[p] = columns[j][i]
+    leads = extend_echelon({}, sorted(vectors.values(), key=len), len(core))
+    basis.update(core[p] for p in leads)
+    return basis
+
+
 def rref(rows: Sequence[Mapping]) -> dict[int, IntVec]:
     """Reduced row echelon form of sparse rows, which are left as they are.
 
     Returns {pivot: row} in ascending pivot order, each row an integer
     vector with content 1 that leads at its pivot and is 0 at the other
     pivots; divided by its pivot entry it is a row of the reduced form
-    over Q, which is unique.  `extend_echelon` makes an echelon form, whose
-    rows go into `reduce_into` in descending lead order.
+    over Q, which is unique.  `extend_echelon` makes an echelon form,
+    whose rows are taken in descending lead order: each is cleared at the
+    pivots of the rows taken before it, which are 0 at its lead, and is
+    filed under its lead, which none of them holds.
     """
     reduced: dict[int, IntVec] = {}
-    for _, row in sorted(extend_echelon({}, rows, len(rows)).items(), reverse=True):
-        reduce_into(reduced, row)
-    return dict(sorted(reduced.items()))
+    for lead, row in sorted(extend_echelon({}, rows, len(rows)).items(), reverse=True):
+        for p in [p for p in row if p in reduced]:
+            row = _clear(row, reduced[p], p)
+        reduced[lead] = row
+    return dict(reversed(reduced.items()))
 
 
 def reduce_into(reduced: dict[int, IntVec], vec: Mapping) -> IntVec:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan import linalg
+from sullivan import cohomology, linalg
 from sullivan.algebra import Monomial, SullivanModel
 from sullivan.cohomology import (
     BettiTable,
@@ -301,6 +301,31 @@ class TestFractionFreeBetti:
         top = coboundary_matrix(model, 16)
         assert (top.nrows, top.ncols) == (973, 761)
         assert betti_table(model, 16).values == tuple(poincare + [0, 0])
+
+
+    @pytest.mark.parametrize("seed", [7, 53])
+    def test_betti_table_builds_no_coboundary_matrix(self, monkeypatch, seed):
+        """Read in ascending degree, each Betti number ranks d_k on the
+        columns outside the row basis of d_(k-1) alone: no full matrix is
+        built or looked up, and in the top degree 395 of 761 columns are
+        assembled."""
+        assembled = []
+        original = cohomology.coboundary_columns
+
+        def recording(model, k, positions):
+            positions = list(positions)
+            assembled.append((k, len(positions)))
+            return original(model, k, positions)
+
+        poincare = convolve(convolve([1, 0, 1, 0, 1], [1, 0, 1]), [1, 0, 1])
+        poincare = convolve(convolve(poincare, [1, 0, 1]), [1, 0, 0, 0, 1])
+        monkeypatch.setattr(cohomology, "coboundary_columns", recording)
+        before = coboundary_matrix.cache_info()
+        assert betti_table(seeded_wide_pure(seed), 16).values == tuple(poincare + [0, 0])
+        after = coboundary_matrix.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert [k for k, _ in assembled] == list(range(17))
+        assert assembled[-1] == (16, 395)
 
 
 class TestBenchmarkWorkerContract:

@@ -5,7 +5,11 @@ import pytest
 from test_properties import gauss_jordan_rref, rational_rref
 
 from sullivan import linalg
-from sullivan.linalg import RationalMatrix, reduce_into, rref, vec_dot
+from sullivan.linalg import RationalMatrix, reduce_into, row_basis, rref
+
+
+def dot(a, b):
+    return sum((v * b[j] for j, v in a.items() if j in b), Fraction(0))
 
 
 def vec_from_dense(xs):
@@ -72,10 +76,6 @@ def counted(monkeypatch, name):
 class TestVectors:
     def test_from_dense_drops_zeros(self):
         assert vec_from_dense([0, 1, 0, Fraction(2, 3)]) == {1: 1, 3: Fraction(2, 3)}
-
-    def test_dot(self):
-        assert vec_dot({0: Fraction(2), 3: Fraction(1)}, {0: Fraction(3)}) == 6
-        assert vec_dot({}, {0: Fraction(1)}) == 0
 
 
 class TestRank:
@@ -223,7 +223,7 @@ class TestNullspace:
         phi = basis[0]
         for j in range(2):
             col = {i: r[j] for i, r in enumerate(rows) if j in r}
-            assert vec_dot(phi, col) == 0
+            assert dot(phi, col) == 0
 
     def test_left_nullspace_computed_once(self, monkeypatch):
         """The left kernel is read from the reduction of [A | I] that
@@ -408,3 +408,58 @@ class TestStructuralPivots:
         assert rank == dense_rank_oracle(rows, ncols)
         assert len(core) == core_columns
         assert all(len(column) >= 2 for column in core)
+
+
+def columns_of(rows, ncols):
+    """The nonzero entries of rows, as sparse columns."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if v:
+                columns[j][i] = v
+    return columns
+
+
+class TestRowBasis:
+    """row_basis names rank-many rows, and they are independent."""
+
+    def check(self, rows, ncols):
+        basis = row_basis(columns_of(rows, ncols))
+        rank = dense_rank_oracle(rows, ncols)
+        assert len(basis) == rank
+        assert dense_rank_oracle([rows[i] for i in basis], ncols) == rank
+
+    @pytest.mark.parametrize("name", STRUCTURAL_CASES)
+    def test_structural_cases(self, name):
+        rows, ncols, _ = STRUCTURAL_CASES[name]
+        self.check(rows, ncols)
+
+    def test_random_sparse(self):
+        rng = random.Random(2801)
+        for _ in range(200):
+            self.check(*rank_case(rng))
+
+    def test_no_columns(self):
+        assert row_basis([]) == set()
+        assert row_basis([{}, {}]) == set()
+
+
+class TestSeparatingFunctional:
+    def test_first_left_kernel_row_not_vanishing_on_rhs(self):
+        """On an unsolvable system, the left-kernel row with the smallest
+        pivot among those not vanishing on rhs: the first such row of
+        left_nullspace_basis; None on a solvable one."""
+        rng = random.Random(2802)
+        unsolvable = 0
+        for _ in range(200):
+            rows, ncols = rank_case(rng)
+            m = RationalMatrix(rows, ncols)
+            rhs = vec_from_dense([rng.randint(-2, 2) for _ in rows])
+            phi = m.separating_functional(rhs)
+            if m.solve(rhs) is not None:
+                assert phi is None
+                continue
+            unsolvable += 1
+            assert phi == next(w for w in m.left_nullspace_basis() if dot(w, rhs))
+            assert any(phi is w for w in m.left_nullspace_basis())
+        assert unsolvable >= 50

@@ -22,11 +22,11 @@ from sullivan.algebra import (
     search_differentials,
     validate_model,
 )
-from sullivan.cohomology import betti, coboundary_matrix, element_to_vector
+from sullivan.cohomology import betti, coboundary_columns, coboundary_matrix, element_to_vector
 from sullivan.dsl import parse_model
 from sullivan.ellipticity import RankVector
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
-from sullivan.linalg import RationalMatrix, extend_echelon, reduce_into, rref
+from sullivan.linalg import RationalMatrix, extend_echelon, reduce_into, row_basis, rref
 from sullivan.pipeline import _candidate_monomials, _coeff_tuple, _relative_skeleton, find_entry
 
 CASES = 1000
@@ -360,6 +360,50 @@ class TestCompiledDifferential:
         assert any(want[1:])
         assert any(type(v) is Fraction
                    for row in coboundary_matrix(model, 3).rows for v in row.values())
+
+
+class TestBettiSkipsColumns:
+    def test_betti_matches_full_ranks_in_any_order(self):
+        """betti against dim_k - rank(d_k) - rank(d_(k-1)), the ranks of
+        the full column-by-column matrices taken by the dense oracle, on
+        valid models and on models whose d*d is nonzero from some generator
+        degree on.  Each order of queries runs on a fresh instance, past
+        the lru_cache, since the columns betti skips depend on the row
+        bases its per-model memo holds, and so on the order.  "guarded"
+        counts the invalid models on which skipping the columns at the
+        previous degree's row basis, at or above that generator degree,
+        would give a wrong rank."""
+        rng = random.Random(2828)
+        seen = {"valid": 0, "skipping": 0, "invalid": 0, "guarded": 0}
+        top = 9
+        for case in range(300):
+            if case % 3 == 0:
+                base = random_valid_model(rng)
+            else:
+                base = random_degreewise_differential(rng, random_free_model(rng, max_gens=5, max_degree=6))
+            dims = [base.dimension_of_degree(k) for k in range(top + 2)]
+            ranks = [rank_of(columnwise_vectors(base, k), dims[k + 1]) for k in range(top + 1)]
+            want = [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
+            shuffled = list(range(top + 1))
+            rng.shuffle(shuffled)
+            for order in (range(top + 1), range(top, -1, -1), shuffled):
+                model = SullivanModel(base.generators, base.diff)
+                got = {k: betti.__wrapped__(model, k) for k in order}
+                assert [got[k] for k in range(top + 1)] == want, (base, order)
+            failures = validate_model(base, require_minimal=False).d_squared_failures
+            if not failures:
+                seen["valid"] += 1
+                seen["skipping"] += any(ranks[k - 1] and dims[k] for k in range(1, top + 1))
+                continue
+            seen["invalid"] += 1
+            defect = min(base.degree_of(name) for name, _ in failures)
+            for k in range(max(defect, 1), top + 1):
+                skip = row_basis(coboundary_columns(base, k - 1, range(dims[k - 1])))
+                kept = [p for p in range(dims[k]) if p not in skip]
+                if len(row_basis(coboundary_columns(base, k, kept))) != ranks[k]:
+                    seen["guarded"] += 1
+                    break
+        assert min(seen.values()) >= 20, seen
 
 
 def columnwise_vectors(model, k):
