@@ -373,9 +373,6 @@ class SullivanModel(_Value):
     def degree_of(self, name: str) -> int:
         return self.generator(name).degree
 
-    def is_odd(self, name: str) -> bool:
-        return self.generator(name).is_odd
-
     @property
     def is_simply_connected(self) -> bool:
         return all(g.degree >= 2 for g in self.generators)
@@ -404,37 +401,6 @@ class SullivanModel(_Value):
             vec = encode(mon)
             out[vec] = out.get(vec, 0) + Fraction(c)
         return Element(self, out)
-
-    # -- canonical form and products -------------------------------------
-
-    def normalize_word(self, word: Sequence[str]) -> tuple[Monomial | None, int]:
-        """Canonical monomial and Koszul sign for a word of generator names.
-
-        Returns (None, 0) when an odd generator repeats.  The sign is
-        (-1)^k, k the number of odd-odd pairs out of declaration order.
-        """
-        idx = self.generator_index
-        positions = []
-        for name in word:
-            if name not in idx:
-                raise ValueError(f"unknown generator {name!r}")
-            positions.append(idx[name])
-        odd_positions = [p for p in positions if self.generators[p].is_odd]
-        inversions = 0
-        for i in range(len(odd_positions)):
-            for j in range(i + 1, len(odd_positions)):
-                if odd_positions[i] > odd_positions[j]:
-                    inversions += 1
-        counts: dict[int, int] = {}
-        for p in positions:
-            counts[p] = counts.get(p, 0) + 1
-        for p, e in counts.items():
-            if self.generators[p].is_odd and e > 1:
-                return None, 0
-        exps = tuple(
-            (self.generators[p].name, counts[p]) for p in sorted(counts)
-        )
-        return Monomial(exps), (-1) ** inversions
 
     # -- differential ----------------------------------------------------
 
@@ -675,21 +641,22 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
 
     d*d = 0 is checked on generators only, which suffices by the Leibniz
     rule.  Minimality asks every term of every d(generator) to have at
-    least two factors counted with multiplicity.
+    least two factors counted with multiplicity.  The checks run on the
+    compiled tables; an Element is made only to print a failure.
     """
     report = ValidationReport(ok=True)
     tables = model._tables
-    for g in model.generators:
-        dval = model.d_of_generator(g.name)
-        if dval.is_zero():
+    for g, rows in zip(model.generators, tables.dgen):
+        if not rows:
             continue
-        if set(map(tables.degree, dval._terms)) != {g.degree + 1}:
-            report.degree_failures.append((g.name, repr(dval)))
-        dd = model.d(dval)
-        if not dd.is_zero():
-            report.d_squared_failures.append((g.name, repr(dd)))
+        terms = [(vec, c) for vec, _, c in rows]
+        if {tables.degree(vec) for vec, _ in terms} != {g.degree + 1}:
+            report.degree_failures.append((g.name, repr(Element(model, dict(terms)))))
+        dd = tables.derive(terms)
+        if dd:
+            report.d_squared_failures.append((g.name, repr(Element(model, dd))))
         if require_minimal:
-            for vec in dval._terms:
+            for vec, _ in terms:
                 if sum(vec) < 2:
                     report.nonminimal_terms.append((g.name, tables.decode(vec).format()))
     report.ok = not (report.d_squared_failures or report.degree_failures or report.nonminimal_terms)

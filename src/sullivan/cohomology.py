@@ -12,8 +12,9 @@ Slusarek, 1998): if P indexes a row basis of d_(k-1) and d_k d_(k-1) =
 P, so d_k is ranked, and a row basis of it found, on those dim_k -
 r_(k-1) = r_k + b_k columns alone.  Each model keeps the row bases it
 has ranked, and skips columns only below its least generator degree on
-which d fails to be a differential (d(g) not of degree |g| + 1, or
-d(d(g)) != 0): d*d is a derivation, so below that degree it vanishes.
+which `validate_model` finds that d fails to be a differential (d(g) not
+of degree |g| + 1, or d(d(g)) != 0): d*d is a derivation, so below that
+degree it vanishes.
 An invalid model, such as a search node or a zero-padded scan model,
 thus reads from that degree on the ranks of its full matrices.
 """
@@ -24,7 +25,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Monomial, SullivanModel, _Record, _Value
+from .algebra import Element, Monomial, SullivanModel, _Record, _Value, validate_model
 from .linalg import RationalMatrix, SparseVec, row_basis
 
 
@@ -78,20 +79,16 @@ def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
 
 def _first_defect(model: SullivanModel) -> float:
     """The least degree of a generator g on which d fails to be a
-    differential: d(g) not homogeneous of degree |g| + 1, or d(d(g)) != 0;
-    infinity if there is none.  d*d is a derivation, so it vanishes on
-    every monomial of degree below this one, and there d is homogeneous.
-    Computed once per model, kept in its __dict__."""
+    differential, as `validate_model` finds it: d(g) not homogeneous of
+    degree |g| + 1, or d(d(g)) != 0; infinity if there is none.  d*d is a
+    derivation, so it vanishes on every monomial of degree below this one,
+    and there d is homogeneous.  Computed once per model, kept in its
+    __dict__."""
     found = model.__dict__.get("_first_defect")
     if found is None:
-        tables = model._tables
+        report = validate_model(model, require_minimal=False)
         found = model.__dict__["_first_defect"] = min(
-            (
-                g.degree
-                for g, rows in zip(model.generators, tables.dgen)
-                if any(tables.degree(vec) != g.degree + 1 for vec, _, _ in rows)
-                or tables.derive((vec, c) for vec, _, c in rows)
-            ),
+            (model.degree_of(name) for name, _ in report.degree_failures + report.d_squared_failures),
             default=float("inf"),
         )
     return found

@@ -244,7 +244,7 @@ class _Parser:
     def build(self, name, gens, clauses) -> ModelDocument:
         free = SullivanModel.free(gens)
         notes: list[str] = []
-        assignments: dict[str, Element | None] = {}
+        assignments: dict[str, Element] = {}
         seen_clause: dict[str, Token] = {}
         for target, terms in clauses:
             if target.text not in free.generator_index:
@@ -261,7 +261,7 @@ class _Parser:
                 )
             seen_clause[target.text] = target
             want = free.degree_of(target.text) + 1
-            total: dict[Monomial, Fraction] = {}
+            total = free.zero()
             for coeff, factors, start in terms:
                 degree = 0
                 for fname, power, ftok in factors:
@@ -270,27 +270,27 @@ class _Parser:
                             f"unknown generator {fname!r}", ftok.line, ftok.col
                         )
                     degree += free.degree_of(fname) * power
-                # before the word is spelled out, which a huge power cannot be
+                # before the product is formed, which a huge power cannot be
                 if degree != want:
                     raise ParseError(
                         f"d({target.text}) needs degree {want}, term has degree {degree}",
                         start.line,
                         start.col,
                     )
-                word = [fname for fname, power, _ in factors for _ in range(power)]
-                mon, sgn = free.normalize_word(word)
-                if mon is None:
-                    pretty = "*".join(
-                        f"{n}^{p}" if p > 1 else n for n, p, _ in factors
-                    )
+                # the factors multiplied in the order written, with the
+                # Koszul sign of every product
+                product = free.unit()
+                for fname, power, _ in factors:
+                    product = product * free.gen(fname) ** power
+                if product.is_zero():
+                    pretty = Monomial(tuple((n, p) for n, p, _ in factors)).format()
                     notes.append(
                         f"line {start.line}: term {pretty} in d({target.text}) "
                         "normalizes to zero (odd generator squared)"
                     )
                     continue
-                total[mon] = total.get(mon, Fraction(0)) + sgn * coeff
-            element = free.element_from_terms(total)
-            assignments[target.text] = None if element.is_zero() else element
+                total = total + coeff * product
+            assignments[target.text] = total
         model = free.with_differentials(assignments)
         return ModelDocument(name=name, model=model, notes=tuple(notes))
 

@@ -29,7 +29,6 @@ import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import add
 
 from .algebra import (
@@ -295,16 +294,12 @@ def _even_exponents(free: SullivanModel, k: int) -> list[tuple[int, ...]]:
     return [vec for vec, odd_mask in free._tables.vectors(k) if not odd_mask]
 
 
-def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict[int, int]]:
-    """The multiples m*q of the pure-even part q of value, one integer
-    column over top (exponent vector -> row) per exponent vector m in
-    shifts, with q scaled by the lcm of its denominators."""
+def _relation_columns(free: SullivanModel, top, value, shifts) -> Iterator[dict]:
+    """The multiples m*q of the pure-even part q of value, one column over
+    top (exponent vector -> row) per exponent vector m in shifts, with
+    q's coefficients, which `extend_echelon` scales to integers."""
     mask = free._tables.mask
     q = [(vec, c) for vec, c in value._terms.items() if not mask(vec)]
-    if not q:
-        return
-    den = lcm(*(c.denominator for _, c in q))
-    q = [(vec, c.numerator * (den // c.denominator)) for vec, c in q]
     for shift in shifts:
         yield {top[tuple(map(add, shift, vec))]: c for vec, c in q}
 

@@ -67,9 +67,6 @@ class RankSolution(_Value):
         object.__setattr__(self, "dimensions", dimensions)
         object.__setattr__(self, "map_ranks", map_ranks)
 
-    def alternating_sum(self) -> int:
-        return sum((-1) ** i * d for i, d in enumerate(self.dimensions))
-
 
 def solve_exact_ranks(p: ExactSequenceProblem) -> list[RankSolution]:
     """Every integer solution of the exactness system, canonically ordered.

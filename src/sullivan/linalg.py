@@ -1,6 +1,6 @@
 """Exact sparse linear algebra over Q.
 
-Vectors are dicts {index: Fraction} with zero entries absent; matrices
+Vectors are dicts {index: int | Fraction}, zeros absent; matrices
 hold sparse rows.  Every computation is exact, so ranks and solvability
 verdicts carry no numerical caveats.  Inside an elimination a row is an
 integer vector with content 1, changed only by `_clear`, which cancels
@@ -15,8 +15,8 @@ the matrix's own columns.  One reduction of [A | I] gives `solve` the row
 operations E with E A = rref(A), and the left nullspace as its rows that
 vanish on A; a right-hand side that `solve` rejects is separated by the
 one of those rows with the smallest pivot at which E rhs is not 0.  A
-row is divided by its pivot entry only in an answer: a solution or a
-nullspace basis.
+row is divided by its pivot entry only in an answer: a solution, a
+nullspace basis or a separating functional.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-SparseVec = dict[int, Fraction]
+SparseVec = dict[int, int | Fraction]
 IntVec = dict[int, int]
 
 
@@ -37,9 +37,9 @@ class RationalMatrix:
         self.ncols = ncols
         self._rank: int | None = None
         # from the reduced [A | I]: column i of E as {p: E[p][i]}, keyed by
-        # the pivot p of each row, each row's pivot entry, the left kernel,
-        # and its rows keyed by pivot
-        self._augmented: tuple[list[IntVec], IntVec, list[SparseVec], dict[int, SparseVec]] | None = None
+        # the pivot p of each row, each row's pivot entry, and the left
+        # kernel's rows keyed by pivot
+        self._augmented: tuple[list[IntVec], IntVec, dict[int, SparseVec]] | None = None
 
     @property
     def nrows(self) -> int:
@@ -90,9 +90,10 @@ class RationalMatrix:
 
     def separating_functional(self, rhs: SparseVec | Sequence) -> SparseVec | None:
         """A w with w (self) = 0 and w rhs != 0, or None when (self) y =
-        rhs is solvable: of the `left_nullspace_basis` rows, the one with
-        the smallest pivot at which E rhs, as `solve` reads it, is not 0."""
-        kernel_at = self._reduce_augmented()[3]
+        rhs is solvable: of the rows of the reduced [A | I] that vanish on
+        A, a basis of the left nullspace, the one with the smallest pivot
+        at which E rhs, as `solve` reads it, is not 0."""
+        kernel_at = self._reduce_augmented()[2]
         hits = [p for p, s in self._apply_inverse(rhs).items() if s and p in kernel_at]
         return kernel_at[min(hits)] if hits else None
 
@@ -110,11 +111,11 @@ class RationalMatrix:
                 sums[p] = sums.get(p, 0) + c * e
         return sums
 
-    def _reduce_augmented(self) -> tuple[list[IntVec], IntVec, list[SparseVec], dict[int, SparseVec]]:
+    def _reduce_augmented(self) -> tuple[list[IntVec], IntVec, dict[int, SparseVec]]:
         """Reduce [A | I] once: the integer columns of E, the entry of each
         row at its pivot, and, as a left-kernel basis, the rows (0 | e)
-        whose pivot lies in I, so that e A = 0, divided by that entry, in
-        a list and keyed by pivot."""
+        whose pivot lies in I, so that e A = 0, divided by that entry and
+        keyed by pivot."""
         if self._augmented is None:
             n = self.ncols
             reduced = rref([{**row, n + i: 1} for i, row in enumerate(self.rows)])
@@ -128,7 +129,7 @@ class RationalMatrix:
                 p: {j - n: Fraction(e, row[p]) for j, e in row.items()}
                 for p, row in reduced.items() if p >= n
             }
-            self._augmented = inverse, leads, list(kernel_at.values()), kernel_at
+            self._augmented = inverse, leads, kernel_at
         return self._augmented
 
     def nullspace_basis(self) -> list[SparseVec]:
@@ -138,11 +139,6 @@ class RationalMatrix:
             {f: Fraction(1), **{p: Fraction(-row[f], row[p]) for p, row in reduced.items() if f in row}}
             for f in range(self.ncols) if f not in reduced
         ]
-
-    def left_nullspace_basis(self) -> list[SparseVec]:
-        """Basis of {w : w (self) = 0}: the rows (0 | e) of the reduced
-        [A | I] that `solve` reads, one per row of A beyond its rank."""
-        return self._reduce_augmented()[2]
 
 
 def row_basis(columns: Sequence[Mapping]) -> set[int]:

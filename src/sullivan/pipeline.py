@@ -228,9 +228,11 @@ def model_from_data(data: Mapping) -> SullivanModel:
 class KillCertificate(_Value):
     """A machine-checkable reason a fiber case cannot occur.
 
-    detail is JSON-ready and self-contained: revalidate() recomputes each
-    recorded mismatch from the stored data alone, without redoing the
-    search that produced the certificate.
+    detail is JSON-ready and self-contained.  revalidate() reruns the check
+    that produced a dimension or Wang certificate on the inputs the detail
+    records and asks for this very certificate; for a relative one it
+    recomputes each recorded Betti mismatch without redoing the search.
+    Malformed detail reads False.
     """
 
     __slots__ = ("kind", "detail")
@@ -245,65 +247,32 @@ class KillCertificate(_Value):
         return {"kind": self.kind, "detail": self.detail}
 
     def revalidate(self) -> bool:
+        d = self.detail
         try:
             if self.kind == "dimension-formula":
-                return self._revalidate_dimension()
+                return check_dimension_formula(RankVector.parse(d["fiber"]), d["required"]) == self
             if self.kind == "wang-betti-bound":
-                return self._revalidate_wang()
+                total = BettiTable(tuple(d["total_betti"]))
+                fiber = RankVector.parse(d["fiber"])
+                return check_wang_bound(d["sphere_dim"], total, fiber, d["fiber_dim"]) == self
             return self._revalidate_relative()
-        except (KeyError, ValueError, TypeError):
+        except (AttributeError, KeyError, ValueError, TypeError):
             return False
-
-    def _revalidate_dimension(self) -> bool:
-        d = self.detail
-        f = RankVector.parse(d["fiber"])
-        return (
-            formal_dimension(f) == d["computed"]
-            and d["computed"] != d["required"]
-        )
-
-    def _revalidate_wang(self) -> bool:
-        d = self.detail
-        total = BettiTable(tuple(d["total_betti"]))
-        known = {int(k): v for k, v in d["known"].items()}
-        caps = {int(k): v for k, v in d["caps"].items()}
-        capped = wang_fiber_betti(
-            d["sphere_dim"], total, d["fiber_dim"],
-            known_fiber=known, upper_bounds=caps,
-        )
-        if capped:
-            return False
-        if d.get("degree") is None:
-            return True
-        unconstrained = wang_fiber_betti(
-            d["sphere_dim"], total, d["fiber_dim"], known_fiber=known
-        )
-        k = d["degree"]
-        return bool(unconstrained) and all(s[k] > d["bound"] for s in unconstrained)
 
     def _revalidate_relative(self) -> bool:
         d = self.detail
         free = model_from_data(d["skeleton"])
         target = BettiTable(tuple(d["target"]))
-
-        def apply(assignment: Mapping[str, Sequence]) -> SullivanModel:
-            return free.with_differentials(
+        scan = d["scan"]
+        pairs = [(row["assignment"], [row]) for row in d["branches"]]
+        for assignment, rows in pairs + [(scan["assignment"], scan["rows"])]:
+            model = free.with_differentials(
                 {name: element_from_data(free, terms) for name, terms in assignment.items()}
             )
-
-        for row in d["branches"]:
-            model = apply(row["assignment"])
-            if betti(model, row["degree"]) != row["computed"]:
-                return False
-            if row["computed"] == target[row["degree"]]:
-                return False
-        scan = d["scan"]
-        model = apply(scan["assignment"])
-        for row in scan["rows"]:
-            if betti(model, row["degree"]) != row["computed"]:
-                return False
-            if row["computed"] == target[row["degree"]]:
-                return False
+            for row in rows:
+                k = row["degree"]
+                if betti(model, k) != row["computed"] or row["computed"] == target[k]:
+                    return False
         return True
 
 

@@ -40,39 +40,46 @@ class TestGeneratorSpec:
 
 
 class TestNormalize:
+    """A word of generators multiplied in order: its canonical monomial
+    with the Koszul sign, or 0 when an odd generator repeats."""
+
     def setup_method(self):
         self.m = SullivanModel.free(
             [("z1", 1), ("a3", 3), ("b3", 3), ("x2", 2)]
         )
 
+    def word(self, *names):
+        out = self.m.unit()
+        for name in names:
+            out = out * self.m.gen(name)
+        return out
+
     def test_identity_word(self):
-        mon, sign = self.m.normalize_word(["z1", "a3"])
-        assert mon == Monomial((("z1", 1), ("a3", 1))) and sign == 1
+        assert self.word("z1", "a3") == self.m.monomial(Monomial((("z1", 1), ("a3", 1))))
 
     def test_odd_swap_flips_sign(self):
-        mon, sign = self.m.normalize_word(["b3", "a3"])
-        assert mon == Monomial((("a3", 1), ("b3", 1))) and sign == -1
+        assert self.word("b3", "a3") == -self.m.monomial(Monomial((("a3", 1), ("b3", 1))))
 
     def test_even_moves_freely(self):
-        mon, sign = self.m.normalize_word(["x2", "z1"])
-        assert mon == Monomial((("z1", 1), ("x2", 1))) and sign == 1
+        assert self.word("x2", "z1") == self.m.monomial(Monomial((("z1", 1), ("x2", 1))))
 
     def test_three_odd_cycle(self):
-        # b a z -> two transpositions past a, one past z... count pairs out of order
-        mon, sign = self.m.normalize_word(["b3", "a3", "z1"])
-        assert mon.exps == (("z1", 1), ("a3", 1), ("b3", 1))
-        assert sign == -1  # (b,a), (b,z), (a,z) inverted: 3 pairs
+        # (b,a), (b,z), (a,z) are out of declaration order: 3 pairs
+        want = Monomial((("z1", 1), ("a3", 1), ("b3", 1)))
+        assert self.word("b3", "a3", "z1") == -self.m.monomial(want)
 
     def test_odd_square_dies(self):
-        assert self.m.normalize_word(["a3", "a3"]) == (None, 0)
+        assert self.word("a3", "a3") == self.m.zero()
+        assert self.m.gen("a3") ** 2 == self.m.zero()
 
     def test_even_power_accumulates(self):
-        mon, sign = self.m.normalize_word(["x2", "x2", "x2"])
-        assert mon == Monomial((("x2", 3),)) and sign == 1
+        want = self.m.monomial(Monomial((("x2", 3),)))
+        assert self.word("x2", "x2", "x2") == want
+        assert self.m.gen("x2") ** 3 == want
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            self.m.normalize_word(["nope"])
+            self.m.gen("nope")
 
 
 class TestProducts:
@@ -243,6 +250,25 @@ class TestValidation:
         rep = validate_model(bad)
         assert rep.degree_failures and not rep.ok
         assert "not homogeneous" in rep.summary()
+
+    def test_every_failure_at_once(self):
+        """A fractional coefficient, a d*d failure, a degree failure and
+        a linear term, reported in generator order within each kind."""
+        free = SullivanModel.free([("x2", 2), ("y3", 3), ("z4", 4), ("w5", 5)])
+        x2, y3, z4 = free.gen("x2"), free.gen("y3"), free.gen("z4")
+        bad = free.with_differentials(
+            {"y3": Fraction(1, 2) * x2 ** 2, "z4": x2 * y3, "w5": x2 ** 3 - Fraction(2, 3) * z4}
+        )
+        rep = validate_model(bad)
+        assert not rep.ok
+        assert rep.summary() == "\n".join([
+            "degree: d(w5) = -2/3*z4 + x2^3 is not homogeneous of degree deg(w5)+1",
+            "d*d: d(d(z4)) = 1/2*x2^3 != 0",
+            "d*d: d(d(w5)) = -2/3*x2*y3 != 0",
+            "minimality: d(w5) has the non-decomposable term z4",
+        ])
+        relaxed = validate_model(bad, require_minimal=False)
+        assert relaxed.nonminimal_terms == [] and relaxed.summary().count("\n") == 2
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

@@ -218,17 +218,18 @@ class TestNullspace:
     def test_left_nullspace_annihilates_rows(self):
         rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
         m = RationalMatrix(rows, 2)
-        basis = m.left_nullspace_basis()
-        assert len(basis) == 1
-        phi = basis[0]
+        assert m.separating_functional({0: 1, 1: 2}) is None
+        phi = m.separating_functional({0: 1})
+        assert dot(phi, {0: 1}) != 0
         for j in range(2):
             col = {i: r[j] for i, r in enumerate(rows) if j in r}
             assert dot(phi, col) == 0
 
     def test_left_nullspace_computed_once(self, monkeypatch):
-        """The left kernel is read from the reduction of [A | I] that
-        solve runs: nrows - rank independent vectors phi with phi A = 0,
-        one rref for both queries, the same list on every call."""
+        """The separating functional is a left-kernel row of the reduction
+        of [A | I] that solve runs: phi A = 0 and phi rhs != 0, one rref
+        for both queries, the same vector on every call.  The last row is
+        3 times the first, so the first unit vector is never in the image."""
         calls = counted(monkeypatch, "rref")
         rng = random.Random(300)
         for _ in range(30):
@@ -237,15 +238,13 @@ class TestNullspace:
             rows.append({j: 3 * v for j, v in rows[0].items()})
             m = RationalMatrix(rows, ncols)
             calls.clear()
-            m.solve({0: Fraction(1)})
-            basis = m.left_nullspace_basis()
+            assert m.solve({0: Fraction(1)}) is None
+            phi = m.separating_functional({0: Fraction(1)})
             assert len(calls) == 1
-            assert len(basis) == m.nrows - m.rank()
-            for phi in basis:
-                assert all(0 <= i < m.nrows for i in phi)
-                assert matvec(m.transpose().rows, [phi.get(i, 0) for i in range(m.nrows)]) == {}
-            assert RationalMatrix(basis, m.nrows).rank() == len(basis)
-            assert m.left_nullspace_basis() is basis
+            assert all(0 <= i < m.nrows for i in phi)
+            assert phi.get(0, 0) != 0
+            assert matvec(m.transpose().rows, [phi.get(i, 0) for i in range(m.nrows)]) == {}
+            assert m.separating_functional({0: Fraction(1)}) is phi
             assert len(calls) == 1
 
     def test_full_rank_kernel_trivial(self):
@@ -277,7 +276,7 @@ class TestSingleElimination:
             assert matvec(rows, y) == rhs
             m.solve({i: Fraction(1) for i in range(7)})
         m.rank()
-        m.left_nullspace_basis()
+        m.separating_functional({0: Fraction(1)})
         assert len(calls) == 2
         assert m.rows == before
         assert m.nullspace_basis() == kernel
@@ -446,9 +445,8 @@ class TestRowBasis:
 
 class TestSeparatingFunctional:
     def test_first_left_kernel_row_not_vanishing_on_rhs(self):
-        """On an unsolvable system, the left-kernel row with the smallest
-        pivot among those not vanishing on rhs: the first such row of
-        left_nullspace_basis; None on a solvable one."""
+        """On an unsolvable system, a w with w A = 0 and w rhs != 0, the
+        same vector on every call; None on a solvable one."""
         rng = random.Random(2802)
         unsolvable = 0
         for _ in range(200):
@@ -460,6 +458,7 @@ class TestSeparatingFunctional:
                 assert phi is None
                 continue
             unsolvable += 1
-            assert phi == next(w for w in m.left_nullspace_basis() if dot(w, rhs))
-            assert any(phi is w for w in m.left_nullspace_basis())
+            assert dot(phi, rhs) != 0
+            assert matvec(m.transpose().rows, [phi.get(i, 0) for i in range(m.nrows)]) == {}
+            assert m.separating_functional(rhs) is phi
         assert unsolvable >= 50

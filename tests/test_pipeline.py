@@ -8,6 +8,7 @@ computed independently before being frozen into the expectations below.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,13 @@ from sullivan.pipeline import (
 
 def rv(text: str) -> RankVector:
     return RankVector.parse(text)
+
+
+def tampered(cert: KillCertificate, **changes) -> KillCertificate:
+    """cert after a JSON round trip, with changes to its detail."""
+    detail = json.loads(json.dumps(cert.detail))
+    detail.update(changes)
+    return KillCertificate(cert.kind, detail)
 
 
 class TestCatalog:
@@ -182,10 +190,14 @@ class TestDimensionFormula:
     def test_revalidate_and_tamper(self):
         cert = check_dimension_formula(rv("2:2,3:1,5:1"), 4)
         assert cert.revalidate()
-        bad = KillCertificate(cert.kind, {**cert.detail, "computed": 5})
-        assert not bad.revalidate()
-        agree = KillCertificate(cert.kind, {**cert.detail, "required": 6})
-        assert not agree.revalidate()
+        assert tampered(cert).revalidate()
+        assert not tampered(cert, computed=5).revalidate()
+        assert not tampered(cert, required=6).revalidate()
+        assert not tampered(cert, required=-1).revalidate()
+        assert not tampered(cert, note="").revalidate()
+        # JSON may carry any value where a string belongs
+        assert tampered(cert, fiber=123).revalidate() is False
+        assert tampered(cert, fiber=None).revalidate() is False
 
 
 class TestWangBound:
@@ -209,8 +221,14 @@ class TestWangBound:
         total = find_entry("eschenburg").betti
         cert = check_wang_bound(2, total, rv("1:1,2:1,5:1"), 5)
         assert cert.revalidate()
-        bad = KillCertificate(cert.kind, {**cert.detail, "bound": 5})
-        assert not bad.revalidate()
+        assert tampered(cert).revalidate()
+        assert not tampered(cert, bound=5).revalidate()
+        caps = cert.detail["caps"]
+        assert not tampered(cert, caps={**caps, "2": 2}).revalidate()
+        assert not tampered(cert, known={"1": 0}).revalidate()
+        assert not tampered(cert, profiles_without_caps=[]).revalidate()
+        assert not tampered(cert, note="").revalidate()
+        assert tampered(cert, fiber=None).revalidate() is False
 
 
 class TestRelativeModelFamily:
@@ -303,6 +321,10 @@ class TestRelativeCohomologyKills:
         (branch,) = [b for b in detail["branches"] if b["assignment"]["z2"]]
         branch["assignment"]["z2"] = [["x3*z2^0", "1"]]
         assert not KillCertificate(cert.kind, detail).revalidate()
+        # a word that JSON carries as a number
+        detail = json.loads(json.dumps(cert.detail))
+        detail["scan"]["assignment"]["z2"] = [[5, "1"]]
+        assert KillCertificate(cert.kind, detail).revalidate() is False
 
     def test_five_sphere_base_kill(self):
         # no degree-3 words exist over (x5, z2, z9), so dz2 = 0 is forced
@@ -686,3 +708,33 @@ class TestReproduce:
     def test_targets_json_serializable(self):
         for target in ("table1", "prop31", "prop42", "theoremA"):
             json.dumps(reproduce(target))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_KILLS = {
+    "table1": 0, "prop31": 37, "prop32": 5, "prop41": 33, "prop42": 3,
+    "theorem-a": 37, "theorem-b": 33,
+}
+
+
+def kill_certificates(data):
+    """Every {"kind": ..., "detail": ...} object in a JSON report."""
+    if isinstance(data, dict):
+        if data.keys() == {"kind", "detail"}:
+            yield KillCertificate(data["kind"], data["detail"])
+        else:
+            for value in data.values():
+                yield from kill_certificates(value)
+    elif isinstance(data, list):
+        for value in data:
+            yield from kill_certificates(value)
+
+
+@pytest.mark.parametrize("target", sorted(GOLDEN_KILLS))
+def test_golden_kills_revalidate(target):
+    """Every kill of a golden report, as its JSON text carries it,
+    passes revalidate()."""
+    kills = list(kill_certificates(json.loads((GOLDEN / f"{target}.json").read_text())))
+    assert len(kills) == GOLDEN_KILLS[target]
+    assert all(cert.revalidate() for cert in kills)

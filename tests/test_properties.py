@@ -23,7 +23,7 @@ from sullivan.algebra import (
     validate_model,
 )
 from sullivan.cohomology import betti, coboundary_columns, coboundary_matrix, element_to_vector
-from sullivan.dsl import parse_model
+from sullivan.dsl import parse_document, parse_model
 from sullivan.ellipticity import RankVector
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
 from sullivan.linalg import RationalMatrix, extend_echelon, reduce_into, row_basis, rref
@@ -158,6 +158,21 @@ def word_of(mon):
     return [name for name, e in mon.exps for _ in range(e)]
 
 
+def normalize_word(model, word):
+    """Canonical monomial and Koszul sign of a word of generator names,
+    counted by name, independently of the algebra's exponent vectors:
+    (None, 0) when an odd generator repeats, else the sign (-1)^k, k the
+    number of odd-odd pairs out of declaration order."""
+    index = model.generator_index
+    positions = [index[name] for name in word]
+    odd = [p for p in positions if model.generators[p].is_odd]
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    counts = {p: positions.count(p) for p in sorted(set(positions))}
+    if any(model.generators[p].is_odd and e > 1 for p, e in counts.items()):
+        return None, 0
+    return Monomial(tuple((model.generators[p].name, e) for p, e in counts.items())), (-1) ** inversions
+
+
 def reference_d(model, mon):
     """d(mon) by the Leibniz rule on words: for each letter g of the word
     w, splice each term of d(g) in at g's place with sign (-1)^|w before
@@ -171,7 +186,7 @@ def reference_d(model, mon):
     before = 0
     for j, name in enumerate(word):
         for tmon, c in model.d_of_generator(name).terms.items():
-            canon, sign = model.normalize_word(word[:j] + word_of(tmon) + word[j + 1:])
+            canon, sign = normalize_word(model, word[:j] + word_of(tmon) + word[j + 1:])
             if canon is None:
                 died += 1
                 continue
@@ -197,7 +212,7 @@ def word_product(model, x, y):
     out = {}
     for a, ca in x.items():
         for b, cb in y.items():
-            mon, sign = model.normalize_word(word_of(a) + word_of(b))
+            mon, sign = normalize_word(model, word_of(a) + word_of(b))
             if mon is not None:
                 out[mon] = out.get(mon, 0) + sign * ca * cb
     return {m: c for m, c in out.items() if c}
@@ -272,7 +287,7 @@ class TestCompiledDifferential:
                 continue
             a = rng.choice(model.basis_of_degree(rng.choice(degrees)))
             b = rng.choice(model.basis_of_degree(rng.choice(degrees)))
-            mon, sign = model.normalize_word(word_of(a) + word_of(b))
+            mon, sign = normalize_word(model, word_of(a) + word_of(b))
             want = model.zero() if mon is None else sign * model.monomial(mon)
             assert model.monomial(a) * model.monomial(b) == want
             # multi-term elements with fractional coefficients
@@ -360,6 +375,64 @@ class TestCompiledDifferential:
         assert any(want[1:])
         assert any(type(v) is Fraction
                    for row in coboundary_matrix(model, 3).rows for v in row.values())
+
+
+class TestParsedDifferentials:
+    def test_parse_against_gen_products(self):
+        """parse_document of random d-clauses, each term a product of
+        generators in random order with random powers, a name possibly
+        repeated and odd generators squared among them, equals the sum of
+        the terms as products of `gen`s in the order written; every term
+        whose product is 0 leaves a note, and no other does."""
+        rng = random.Random(909)
+        seen = {"note": 0, "odd_swap": 0, "power": 0, "fraction": 0}
+        checked = 0
+        while checked < CASES:
+            model = random_free_model(rng, max_gens=5, max_degree=5)
+            gens = model.generators
+            lines = [f"generator {g.name} : {g.degree};" for g in gens]
+            want, notes = {}, []
+            for target in gens:
+                clause = []
+                total = model.zero()
+                for _ in range(rng.randint(1, 3)):
+                    factors, degree = [], 0  # (name, power)
+                    while degree < target.degree + 1:
+                        g = rng.choice(gens)
+                        power = rng.randint(1, max(1, (target.degree + 1 - degree) // g.degree))
+                        factors.append((g.name, power))
+                        degree += g.degree * power
+                    if degree != target.degree + 1:
+                        continue
+                    word = [n for n, p in factors for _ in range(p)]
+                    coeff = Fraction(rng.choice(FRACTIONS))
+                    text = "*".join(n if p == 1 else f"{n}^{p}" for n, p in factors)
+                    clause.append(f"{coeff}*{text}")
+                    product = model.unit()
+                    for name, power in factors:
+                        product = product * model.gen(name) ** power
+                    if not product:
+                        notes.append(
+                            f"line {len(lines) + 2}: term {text} in d({target.name}) "
+                            "normalizes to zero (odd generator squared)"
+                        )
+                        seen["note"] += 1
+                    total = total + coeff * product
+                    odd = [model.generator_index[n] for n in word if model.generator(n).is_odd]
+                    seen["odd_swap"] += odd != sorted(odd) and bool(product)
+                    seen["power"] += any(p > 1 for _, p in factors) and bool(product)
+                    seen["fraction"] += coeff.denominator > 1
+                if clause:
+                    lines.append(f"d {target.name} = " + " + ".join(clause) + ";")
+                    want[target.name] = total
+            if not want:
+                continue
+            text = "space M {\n" + "\n".join(lines) + "\n}\n"
+            doc = parse_document(text)
+            assert doc.notes == tuple(notes)
+            assert doc.model == model.with_differentials(want)
+            checked += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestBettiSkipsColumns:
@@ -833,7 +906,7 @@ class TestAlternatingSum:
             problem = random_problem(rng)
             for sol in solve_exact_ranks(problem):
                 seen_solutions += 1
-                assert sol.alternating_sum() == 0
+                assert sum((-1) ** i * d for i, d in enumerate(sol.dimensions)) == 0
                 # exactness at every interior slot
                 for i in range(1, len(sol.dimensions) - 1):
                     assert sol.dimensions[i] == sol.map_ranks[i - 1] + sol.map_ranks[i]
