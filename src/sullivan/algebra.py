@@ -16,8 +16,9 @@ generator appearing twice kills the monomial.
 Everything is exact.  An element is stored as {exponent vector over its
 model's generator list: coefficient}, the coefficient an int where
 integral and a fractions.Fraction otherwise, and a model's differential
-is kept in the same form; this module alone converts between those
-vectors and Monomials, which appear only where text is read or written
+is kept in the same form.  A list of factors becomes a vector in one
+place, `SullivanModel.word`, which multiplies them in the order written
+with the Koszul sign; a vector becomes a Monomial only for text output
 (`Element.terms`, `basis_of_degree`, element repr).  Models are immutable
 and hashable so degree-wise data (bases, boundary matrices) can be
 memoized per model.  On first use a model compiles itself into
@@ -126,11 +127,18 @@ class GeneratorSpec(_Value):
         return self.degree % 2 == 1
 
 
+def format_word(factors: Iterable[tuple[str, int]]) -> str:
+    """The factors (name, power) joined by "*", a power above 1 written
+    name^power; "1" for no factors."""
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in factors]) or "1"
+
+
 class Monomial(_Value):
     """A canonical-form monomial: ((name, exponent), ...) in declaration order.
 
-    The unit monomial is the empty tuple.  Instances are only meaningful
-    relative to a model (the model supplies degrees and ordering).
+    The unit monomial is the empty tuple.  Monomials are decoded from a
+    model's exponent vectors for text output; the model supplies degrees
+    and ordering.
     """
 
     __slots__ = ("exps",)
@@ -143,12 +151,7 @@ class Monomial(_Value):
         return not self.exps
 
     def format(self) -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for name, e in self.exps:
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+        return format_word(self.exps)
 
 
 Vector = tuple[int, ...]
@@ -169,8 +172,8 @@ class Element:
 
     def __init__(self, model: "SullivanModel", terms: Mapping[Vector, Scalar] | None = None):
         """terms maps exponent vectors to int or Fraction coefficients;
-        zeros are dropped.  `SullivanModel.element_from_terms` builds an
-        element from Monomials."""
+        zeros are dropped.  `SullivanModel.word` builds the element of a
+        list of factors."""
         self.model = model
         self._terms = (
             {vec: c.numerator if c.denominator == 1 else c for vec, c in terms.items() if c}
@@ -389,18 +392,15 @@ class SullivanModel(_Value):
         return self.constant(1)
 
     def gen(self, name: str) -> Element:
-        return self.monomial(Monomial(((name, 1),)))
+        return self.word(((name, 1),))
 
-    def monomial(self, mon: Monomial) -> Element:
-        return Element(self, {self._tables.encode(mon): 1})
-
-    def element_from_terms(self, terms: Mapping[Monomial, Scalar]) -> Element:
-        encode = self._tables.encode
-        out: dict[Vector, Scalar] = {}
-        for mon, c in terms.items():
-            vec = encode(mon)
-            out[vec] = out.get(vec, 0) + Fraction(c)
-        return Element(self, out)
+    def word(self, factors: Iterable[tuple[str, int]]) -> Element:
+        """The product of the factors (name, power) in the order given,
+        with its Koszul sign; 0 when an odd generator repeats or has a
+        power above 1.  Raises ValueError on a name that is no generator
+        or a power below 1."""
+        vec, sign = self._tables.encode(factors)
+        return Element(self, {vec: sign})
 
     # -- differential ----------------------------------------------------
 
@@ -476,8 +476,8 @@ class _Tables:
     the generator list's: each degree's as (exponent vector, odd bitmask)
     pairs (`vectors`), enumerated once, with a vector -> position index
     (`positions`) and the Monomials decoded on demand (`basis`).
-    `encode` and `decode` are the only conversions between vectors and
-    Monomials.
+    `encode` is the one reader of a list of factors, `decode` the one
+    maker of Monomials.
     """
 
     __slots__ = ("index", "names", "degrees", "odd", "tails", "indexes", "bases", "dgen")
@@ -497,21 +497,28 @@ class _Tables:
     def degree(self, vec: Vector) -> int:
         return sum(map(mul, self.degrees, vec))
 
-    def encode(self, mon: Monomial) -> Vector:
-        """The exponent vector of mon; a name given twice adds up.  Raises
-        ValueError on a name that is no generator, an exponent below 1 or
-        an odd generator's exponent above 1."""
-        vec = [0] * len(self.names)
-        for name, e in mon.exps:
+    def encode(self, factors: Iterable[tuple[str, int]]) -> tuple[Vector, int]:
+        """The product of the factors (name, power), folded in the order
+        given with `_merge`: (exponent vector, Koszul sign), the sign 0
+        when an odd generator repeats or has a power above 1.  Raises
+        ValueError on a name that is no generator or a power below 1."""
+        vec, mask, sign = (0,) * len(self.names), 0, 1
+        for name, e in factors:
             p = self.index.get(name)
             if p is None:
                 raise ValueError(f"unknown generator {name!r}")
             if e < 1:
-                raise ValueError(f"exponent {e} of {name} is below 1")
-            vec[p] += e
-            if self.odd[p] and vec[p] > 1:
-                raise ValueError(f"odd generator {name} has exponent {vec[p]}")
-        return tuple(vec)
+                raise ValueError(f"power {e} of {name} is below 1")
+            bit = self.odd[p]
+            if bit and (e > 1 or mask & bit):
+                sign = 0
+                continue
+            factor = [0] * len(vec)
+            factor[p] = e
+            vec, s = _merge(vec, mask, factor, bit)
+            mask |= bit
+            sign *= s
+        return vec, sign
 
     def decode(self, vec: Vector) -> Monomial:
         names = self.names
@@ -606,7 +613,7 @@ class _Tables:
 class ValidationReport(_Record):
     """Outcome of the structural checks on a model."""
 
-    __slots__ = ("ok", "d_squared_failures", "degree_failures", "nonminimal_terms", "messages")
+    __slots__ = ("ok", "d_squared_failures", "degree_failures", "nonminimal_terms")
 
     def __init__(
         self,
@@ -614,13 +621,11 @@ class ValidationReport(_Record):
         d_squared_failures: list[tuple[str, str]] | None = None,
         degree_failures: list[tuple[str, str]] | None = None,
         nonminimal_terms: list[tuple[str, str]] | None = None,
-        messages: list[str] | None = None,
     ):
         self.ok = ok
         self.d_squared_failures = [] if d_squared_failures is None else d_squared_failures
         self.degree_failures = [] if degree_failures is None else degree_failures
         self.nonminimal_terms = [] if nonminimal_terms is None else nonminimal_terms
-        self.messages = [] if messages is None else messages
 
     def summary(self) -> str:
         if self.ok:
@@ -632,7 +637,6 @@ class ValidationReport(_Record):
             lines.append(f"d*d: d(d({name})) = {expr} != 0")
         for name, mon in self.nonminimal_terms:
             lines.append(f"minimality: d({name}) has the non-decomposable term {mon}")
-        lines.extend(self.messages)
         return "\n".join(lines)
 
 

@@ -179,7 +179,8 @@ def is_coboundary(x: Element) -> CoboundaryVerdict:
         raise ValueError("not a cocycle: d of the candidate is nonzero")
     k = x.degree()
     if k == 0:
-        return CoboundaryVerdict(False, functional={Monomial(): Fraction(1)})
+        unit = model.basis_of_degree(0)  # the one monomial of degree 0
+        return CoboundaryVerdict(False, functional=dict.fromkeys(unit, Fraction(1)))
     mat = coboundary_matrix(model, k - 1)
     target = element_to_vector(x, k)
     y = mat.solve(target)

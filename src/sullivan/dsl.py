@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSpec, Monomial, SullivanModel, _Value
+from .algebra import Element, GeneratorSpec, SullivanModel, _Value, format_word
 
 KEYWORDS = ("space", "generator", "d", "base", "fiber")
 
@@ -270,22 +270,17 @@ class _Parser:
                             f"unknown generator {fname!r}", ftok.line, ftok.col
                         )
                     degree += free.degree_of(fname) * power
-                # before the product is formed, which a huge power cannot be
                 if degree != want:
                     raise ParseError(
                         f"d({target.text}) needs degree {want}, term has degree {degree}",
                         start.line,
                         start.col,
                     )
-                # the factors multiplied in the order written, with the
-                # Koszul sign of every product
-                product = free.unit()
-                for fname, power, _ in factors:
-                    product = product * free.gen(fname) ** power
+                word = [(n, p) for n, p, _ in factors]
+                product = free.word(word)
                 if product.is_zero():
-                    pretty = Monomial(tuple((n, p) for n, p, _ in factors)).format()
                     notes.append(
-                        f"line {start.line}: term {pretty} in d({target.text}) "
+                        f"line {start.line}: term {format_word(word)} in d({target.text}) "
                         "normalizes to zero (odd generator squared)"
                     )
                     continue

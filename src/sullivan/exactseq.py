@@ -157,7 +157,6 @@ def wang_fiber_betti(
     total_betti: BettiTable,
     fiber_dim: int,
     known_fiber: Mapping[int, int] | None = None,
-    upper_bounds: Mapping[int, int] | None = None,
 ) -> list[BettiTable]:
     """Fiber Betti tables consistent with the sequence
     ... -> H^k(E) -> H^k(F) -> H^(k-n+1)(F) -> H^(k+1)(E) -> ...
@@ -165,8 +164,7 @@ def wang_fiber_betti(
 
     Endpoints are pinned to b_0 = b_fiber_dim = 1 with nothing above
     fiber_dim; known_fiber adds further pins, each in a degree 0..fiber_dim
-    (ValueError otherwise), and upper_bounds caps individual degrees.
-    Results are canonically ordered.
+    (ValueError otherwise).  Results are canonically ordered.
     """
     if sphere_dim < 2:
         raise ValueError("sphere dimension must be at least 2")
@@ -181,7 +179,6 @@ def wang_fiber_betti(
         pins[k] = v
     if fiber_dim + sphere_dim >= len(total_betti):  # b_(fiber_dim+n)(E) must be b_fiber_dim(F) = 1
         return []
-    caps = dict(upper_bounds or {})
     top = fiber_dim + sphere_dim + 1
     solutions: list[tuple[int, ...]] = []
 
@@ -205,19 +202,13 @@ def wang_fiber_betti(
         j = k - sphere_dim + 1
         bj = bs[j] if j >= 0 else 0
         want = pinned(k)
-        cap = caps.get(k)
         if want is not None:
-            if cap is not None and want > cap:
-                continue
             delta = want - alpha
             if 0 <= delta <= bj:
                 stack.append((k + 1, bj - delta, bs + (want,)))
             continue
         for delta in range(0, bj + 1):
-            bk = alpha + delta
-            if cap is not None and bk > cap:
-                break
-            stack.append((k + 1, bj - delta, bs + (bk,)))
+            stack.append((k + 1, bj - delta, bs + (alpha + delta,)))
 
     tables = sorted(set(solutions))
     return [BettiTable(t) for t in tables]

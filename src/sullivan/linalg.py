@@ -66,7 +66,7 @@ class RationalMatrix:
             self._rank = len(row_basis(columns))
         return self._rank
 
-    def solve(self, rhs: SparseVec | Sequence) -> list[Fraction] | None:
+    def solve(self, rhs: SparseVec) -> list[Fraction] | None:
         """One solution y of (self) y = rhs, free variables 0; None if none.
 
         The rows of the reduced [A | I] are (R | E) with E A = R, R =
@@ -88,7 +88,7 @@ class RationalMatrix:
                 y[p] = Fraction(s, leads[p])
         return y
 
-    def separating_functional(self, rhs: SparseVec | Sequence) -> SparseVec | None:
+    def separating_functional(self, rhs: SparseVec) -> SparseVec | None:
         """A w with w (self) = 0 and w rhs != 0, or None when (self) y =
         rhs is solvable: of the rows of the reduced [A | I] that vanish on
         A, a basis of the left nullspace, the one with the smallest pivot
@@ -97,10 +97,8 @@ class RationalMatrix:
         hits = [p for p, s in self._apply_inverse(rhs).items() if s and p in kernel_at]
         return kernel_at[min(hits)] if hits else None
 
-    def _apply_inverse(self, rhs: SparseVec | Sequence) -> dict[int, int | Fraction]:
+    def _apply_inverse(self, rhs: SparseVec) -> dict[int, int | Fraction]:
         """E rhs, keyed by the pivots of the reduced [A | I]."""
-        if not isinstance(rhs, dict):
-            rhs = dict(enumerate(rhs))
         bad = [i for i in rhs if not 0 <= i < self.nrows]
         if bad:
             raise ValueError(f"right-hand side index {bad[0]} outside range({self.nrows})")

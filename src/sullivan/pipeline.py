@@ -32,7 +32,6 @@ from functools import cached_property, lru_cache
 from .algebra import (
     Element,
     GeneratorSpec,
-    Monomial,
     SullivanModel,
     _Value,
     coefficient_box,
@@ -112,7 +111,7 @@ def _build_model(factors: Sequence[tuple[str, int]]) -> SullivanModel:
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
     model = SullivanModel.free(gens)
-    return model.with_differentials({t: model.gen(s) ** e for t, s, e in rules})
+    return model.with_differentials({t: model.word(((s, e),)) for t, s, e in rules})
 
 
 class SpaceCatalogEntry(_Value):
@@ -179,25 +178,24 @@ def element_terms_data(x: Element) -> list[list[str]]:
     return [[mon.format(), str(c)] for mon, c in x.sorted_terms()]
 
 
-def monomial_from_word(model: SullivanModel, word: str) -> Monomial:
-    """Parse "x2^2*z1" back into a canonical monomial.  Raises ValueError
-    on a factor that is no generator of model, an exponent below 1 or an
-    odd generator's exponent above 1."""
-    if word == "1":
-        return Monomial()
-    exps = []
-    for factor in word.split("*"):
-        name, caret, e = factor.partition("^")
-        exps.append((name, int(e) if caret else 1))
-    # the model checks the factors and puts them in declaration order
-    (mon,) = model.monomial(Monomial(tuple(exps))).terms
-    return mon
-
-
 def element_from_data(model: SullivanModel, terms: Sequence[Sequence[str]]) -> Element:
-    return model.element_from_terms(
-        {monomial_from_word(model, word): Fraction(c) for word, c in terms}
-    )
+    """The sum of c * word over the [word, c] pairs.  A word is "1" or
+    factors name or name^power joined by "*", multiplied in the order
+    written by `SullivanModel.word`; a power is ASCII digits.  Raises
+    ValueError on a malformed word or one that is 0."""
+    total = model.zero()
+    for word, c in terms:
+        factors = []
+        for factor in [] if word == "1" else word.split("*"):
+            name, caret, e = factor.partition("^")
+            if caret and not (e.isascii() and e.isdigit()):
+                raise ValueError(f"power {e!r} of {name} is not a number")
+            factors.append((name, int(e) if caret else 1))
+        x = model.word(factors)
+        if not x:
+            raise ValueError(f"word {word!r} is 0")
+        total = total + Fraction(c) * x
+    return total
 
 
 def model_data(model: SullivanModel) -> dict:
@@ -308,14 +306,9 @@ def check_wang_bound(
     free = SullivanModel.free(generators_for(fiber_ranks, "z", "fiber"))
     caps = {k: free.dimension_of_degree(k) for k in range(fiber_dim + 1)}
     known = {1: fiber_ranks.get(1)}
-    capped = wang_fiber_betti(
-        sphere_dim, total_betti, fiber_dim, known_fiber=known, upper_bounds=caps
-    )
-    if capped:
+    unconstrained = wang_fiber_betti(sphere_dim, total_betti, fiber_dim, known_fiber=known)
+    if any(all(s[k] <= cap for k, cap in caps.items()) for s in unconstrained):
         return None
-    unconstrained = wang_fiber_betti(
-        sphere_dim, total_betti, fiber_dim, known_fiber=known
-    )
     degree = required = bound = None
     for k in range(fiber_dim + 1):
         if unconstrained and all(s[k] > caps[k] for s in unconstrained):

@@ -55,31 +55,36 @@ class TestNormalize:
         return out
 
     def test_identity_word(self):
-        assert self.word("z1", "a3") == self.m.monomial(Monomial((("z1", 1), ("a3", 1))))
+        assert self.word("z1", "a3") == self.m.word((("z1", 1), ("a3", 1)))
 
     def test_odd_swap_flips_sign(self):
-        assert self.word("b3", "a3") == -self.m.monomial(Monomial((("a3", 1), ("b3", 1))))
+        assert self.word("b3", "a3") == -self.m.word((("a3", 1), ("b3", 1)))
 
     def test_even_moves_freely(self):
-        assert self.word("x2", "z1") == self.m.monomial(Monomial((("z1", 1), ("x2", 1))))
+        assert self.word("x2", "z1") == self.m.word((("z1", 1), ("x2", 1)))
 
     def test_three_odd_cycle(self):
         # (b,a), (b,z), (a,z) are out of declaration order: 3 pairs
-        want = Monomial((("z1", 1), ("a3", 1), ("b3", 1)))
-        assert self.word("b3", "a3", "z1") == -self.m.monomial(want)
+        want = self.m.word((("z1", 1), ("a3", 1), ("b3", 1)))
+        assert self.word("b3", "a3", "z1") == -want
+        assert self.m.word((("b3", 1), ("a3", 1), ("z1", 1))) == -want
 
     def test_odd_square_dies(self):
         assert self.word("a3", "a3") == self.m.zero()
         assert self.m.gen("a3") ** 2 == self.m.zero()
+        assert self.m.word((("a3", 1), ("x2", 2), ("a3", 1))) == self.m.zero()
+        assert self.m.word((("a3", 2),)) == self.m.zero()
 
     def test_even_power_accumulates(self):
-        want = self.m.monomial(Monomial((("x2", 3),)))
-        assert self.word("x2", "x2", "x2") == want
+        want = self.m.word((("x2", 3),))
+        assert self.word("x2", "x2", "x2") == want == self.m.word((("x2", 1), ("x2", 2)))
         assert self.m.gen("x2") ** 3 == want
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             self.m.gen("nope")
+        with pytest.raises(ValueError, match="power 0 of x2 is below 1"):
+            self.m.word((("x2", 0),))
 
 
 class TestProducts:
@@ -115,7 +120,7 @@ class TestProducts:
 
     def test_pow(self):
         m = SullivanModel.free([("x2", 2)])
-        assert m.gen("x2") ** 4 == m.monomial(Monomial((("x2", 4),)))
+        assert m.gen("x2") ** 4 == m.word((("x2", 4),))
         assert m.gen("x2") ** 0 == m.unit()
 
     def test_mixed_model_rejected(self):

@@ -40,7 +40,8 @@ def product(*models):
     free = SullivanModel.free(gens)
     for m in models:
         for name in m.generator_names:
-            diffs[name] = free.element_from_terms(m.d_of_generator(name).terms)
+            dx = m.d_of_generator(name).terms.items()
+            diffs[name] = sum((c * free.word(mon.exps) for mon, c in dx), free.zero())
     return free.with_differentials(diffs)
 
 
@@ -155,7 +156,7 @@ class TestCoboundary:
         assert pair(v.functional, x) != 0
         # the functional must kill every coboundary of that degree
         for mon in m.basis_of_degree(1):
-            dm = m.d(m.monomial(mon))
+            dm = m.d(m.word(mon.exps))
             assert pair(v.functional, dm) == 0
 
     def test_exact_in_product(self):
@@ -198,7 +199,7 @@ class TestCoboundary:
         for mon in basis:
             c = rng.randint(-2, 2)
             if c:
-                y = y + c * m.monomial(mon)
+                y = y + c * m.word(mon.exps)
         x = m.d(y)
         if x.is_zero():
             return

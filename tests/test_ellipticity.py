@@ -506,8 +506,9 @@ class TestRelationColumns:
                         continue
                     for _ in range(30):
                         picks = rng.sample(list(basis), min(len(basis), rng.randint(1, 4)))
-                        value = free.element_from_terms(
-                            {m: Fraction(rng.choice(fractions)) for m in picks}
+                        value = sum(
+                            (Fraction(rng.choice(fractions)) * free.word(m.exps) for m in picks),
+                            free.zero(),
                         )
                         k = g.degree + 1 + 2 * rng.randint(0, 3)
                         top_basis = even_basis(k)
@@ -515,15 +516,18 @@ class TestRelationColumns:
                         shifts = _even_exponents(free, k - g.degree - 1)
                         assert len(top) == len(top_basis)
                         assert len(shifts) == len(even_basis(k - g.degree - 1))
-                        q = free.element_from_terms({
-                            m: c for m, c in value.terms.items()
-                            if not any(free.generator(name).is_odd for name, _ in m.exps)
-                        })
+                        q = sum(
+                            (
+                                c * free.word(m.exps) for m, c in value.terms.items()
+                                if not any(free.generator(name).is_odd for name, _ in m.exps)
+                            ),
+                            free.zero(),
+                        )
                         got = list(_relation_columns(free, top, value, shifts))
                         want = [
                             {
                                 top_basis.index(mon): c
-                                for mon, c in (free.monomial(m) * q).terms.items()
+                                for mon, c in (free.word(m.exps) * q).terms.items()
                             }
                             for m in even_basis(k - g.degree - 1)
                         ]

