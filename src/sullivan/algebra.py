@@ -261,9 +261,14 @@ class Element:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        out = self.model.unit()
-        for _ in range(n):
-            out = out * self
+        # repeated squaring: x^n from x, x^2, x^4, ... at n's binary digits
+        out, square = self.model.unit(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __eq__(self, other):
@@ -670,14 +675,18 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
 # -- differential search -------------------------------------------------
 
 
+def coefficient_set(coeffs: Iterable[Scalar]) -> tuple[Scalar, ...]:
+    """The distinct values of coeffs, ascending, integral ones as int."""
+    return tuple(c.numerator if c.denominator == 1 else c for c in sorted(set(map(Fraction, coeffs))))
+
+
 def coefficient_box(
     size: int, coeffs: Sequence[Scalar], start: int = 0
 ) -> Iterator[tuple[int, tuple[Scalar, ...]]]:
-    """Every tuple of size coefficients drawn from coeffs, integral ones as
-    int, numbered in itertools.product order (the last coefficient varies
-    fastest), from number start on."""
-    values = [c.numerator if c.denominator == 1 else c for c in map(Fraction, coeffs)]
-    combos = itertools.product(values, repeat=size)
+    """Every tuple of size coefficients drawn from coeffs, as
+    `coefficient_set` gives them, numbered in itertools.product order (the
+    last coefficient varies fastest), from number start on."""
+    combos = itertools.product(coeffs, repeat=size)
     return enumerate(itertools.islice(combos, start, None), start)
 
 

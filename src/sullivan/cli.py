@@ -18,12 +18,11 @@ import gc
 import json
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .algebra import validate_model
 from .cohomology import betti_table
-from .dsl import ParseError, parse_document
+from .dsl import ParseError, parse_document, read_int, read_scalar
 from .ellipticity import RankVector, elliptic_verdicts, enumerate_candidates
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
 from .pipeline import (
@@ -41,22 +40,27 @@ class CommandError(Exception):
     """Bad input discovered after argument parsing; maps to exit 2."""
 
 
-def _coeffs_from(text: str) -> tuple[Fraction, ...]:
+def _coeffs_from(text: str) -> tuple:
     try:
-        parts = tuple(Fraction(p.strip()) for p in text.split(",") if p.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        parts = tuple(read_scalar(p.strip()) for p in text.split(",") if p.strip())
+    except ParseError as exc:
         raise CommandError(f"bad coefficient set {text!r}: {exc}")
     if not parts:
         raise CommandError(f"bad coefficient set {text!r}: empty")
     return parts
 
 
+def _integer(text: str) -> int:
+    """A signed integer, as a model file writes one."""
+    try:
+        return read_int(text)
+    except ParseError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
 def _degree(text: str) -> int:
     """A nonnegative integer, for --max-degree and --dim."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise ValueError(f"must not be negative, got {value}")
     return value
@@ -183,7 +187,7 @@ def _cmd_fibration_wang(args) -> int:
             if not sep:
                 raise CommandError(f"bad --known entry {piece!r} (use k=v)")
             try:
-                k, v = int(k), int(v)
+                k, v = _integer(k), _integer(v)
             except ValueError:
                 raise CommandError(f"bad --known entry {piece!r}")
             if v < 0:
@@ -263,10 +267,10 @@ COMMANDS = {
     ("fibration", "fiber-ranks"): (_cmd_fibration_fiber_ranks, [], {
         "--total": (str, True), "--base": (str, True)}),
     ("fibration", "wang"): (_cmd_fibration_wang, [], {
-        "--sphere": (int, True), "--total": (str, True), "--fiber-dim": (int, True),
+        "--sphere": (_integer, True), "--total": (str, True), "--fiber-dim": (_integer, True),
         "--known": (str, False)}),
     ("check", "submersion"): (_cmd_check_submersion, [], {
-        "--total": (str, True), "--max-base-dim": (int, True), "--coeffs": (str, False),
+        "--total": (str, True), "--max-base-dim": (_integer, True), "--coeffs": (str, False),
         "--live-table": (None, False)}),
     ("reproduce",): (_cmd_reproduce, [("target", _one_of(*(
         {name: alias for alias, name in _TARGET_ALIASES.items()}.get(t, t)

@@ -14,6 +14,11 @@ rationals like 3 or -1/2:
 A generator without a d-clause has zero differential.  Terms that square
 an odd generator normalize away; the document records a note for each so
 nothing disappears silently.
+
+Certificates and the command line read numbers and words through
+`read_scalar`, `read_int` and `read_word`: one field, no whitespace, by
+the sign, number and factor-list rules of a d-clause term, so the text
+means what it means in a model file.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ KEYWORDS = ("space", "generator", "d", "base", "fiber")
 _SYMBOLS = "{}:;=^*+-/"
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Syntax or semantic failure, pinned to a source location."""
 
     def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
@@ -147,6 +152,10 @@ class _Parser:
         self.advance()
         return int(tok.text), tok
 
+    def expect_end(self) -> None:
+        if self.here.kind != "end":
+            self.fail(f"trailing input {self.here.text!r}", ("end of input",))
+
     # -- document --------------------------------------------------------
 
     def document(self) -> ModelDocument:
@@ -189,9 +198,7 @@ class _Parser:
                 self.fail("unterminated block", ("'}'", "'generator'", "'d'"))
             else:
                 self.fail(f"found {tok.text!r}", ("'generator'", "'d'", "'}'"))
-        tok = self.here
-        if tok.kind != "end":
-            self.fail(f"trailing input {tok.text!r}", ("end of input",))
+        self.expect_end()
         return self.build(name, gens, clauses)
 
     # -- expressions -----------------------------------------------------
@@ -205,29 +212,37 @@ class _Parser:
 
     def term(self):
         start = self.here
-        sign = Fraction(1)
-        while self.here.kind == "sym" and self.here.text in "+-":
-            if self.advance().text == "-":
-                sign = -sign
-        coeff = Fraction(1)
+        coeff = Fraction(self.sign())
         if self.here.kind == "int":
-            num, _ = self.expect_int()
-            if self.here.kind == "sym" and self.here.text == "/":
-                self.advance()
-                den, dtok = self.expect_int()
-                if den == 0:
-                    raise ParseError("zero denominator", dtok.line, dtok.col)
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
+            coeff *= self.number()
             # a coefficient may be glued to its monomial with * or a space
             if self.here.kind == "sym" and self.here.text == "*":
                 self.advance()
+        return (coeff, self.factors(), start)
+
+    def sign(self) -> int:
+        sign = 1
+        while self.here.kind == "sym" and self.here.text in "+-":
+            if self.advance().text == "-":
+                sign = -sign
+        return sign
+
+    def number(self) -> Fraction:
+        num, _ = self.expect_int()
+        if self.here.kind == "sym" and self.here.text == "/":
+            self.advance()
+            den, dtok = self.expect_int()
+            if den == 0:
+                raise ParseError("zero denominator", dtok.line, dtok.col)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def factors(self) -> list[tuple[str, int, Token]]:
         factors = [self.factor()]
         while self.here.kind == "sym" and self.here.text == "*":
             self.advance()
             factors.append(self.factor())
-        return (sign * coeff, factors, start)
+        return factors
 
     def factor(self) -> tuple[str, int, Token]:
         name = self.expect_name()
@@ -288,6 +303,35 @@ class _Parser:
             assignments[target.text] = total
         model = free.with_differentials(assignments)
         return ModelDocument(name=name, model=model, notes=tuple(notes))
+
+
+def _read_field(text: str, rule):
+    """rule's value on a parser over text, which must be one word that
+    rule reads to its end."""
+    if text.split() != [text]:
+        raise ParseError(f"{text!r} is not one word", 1, 1)
+    parser = _Parser(text)
+    value = rule(parser)
+    parser.expect_end()
+    return value
+
+
+def read_scalar(text: str) -> Fraction:
+    """A signed number, as a d-clause coefficient: 3, -1/2, +2."""
+    return _read_field(text, lambda p: p.sign() * p.number())
+
+
+def read_int(text: str) -> int:
+    """A signed integer, as the model file's integers with a sign."""
+    return _read_field(text, lambda p: p.sign() * p.expect_int()[0])
+
+
+def read_word(text: str) -> list[tuple[str, int]]:
+    """The (name, power) factors of a word such as b5*a3^2, as a d-clause
+    term writes them, in that order; "1" has none."""
+    if text == "1":
+        return []
+    return [(name, power) for name, power, _ in _read_field(text, _Parser.factors)]
 
 
 def parse_document(text: str) -> ModelDocument:

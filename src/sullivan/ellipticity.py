@@ -27,17 +27,18 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 
 from .algebra import (
     Element,
     GeneratorSpec,
+    Scalar,
     SullivanModel,
     _Record,
     _Value,
     coefficient_box,
+    coefficient_set,
     search_differentials,
 )
 from .linalg import extend_echelon
@@ -337,7 +338,7 @@ def _pure_shape(f: RankVector):
 PURE_ATTEMPTS = 8
 
 
-def _drawn_coefficients(coeffs: Sequence[Fraction], attempt: int, index: int) -> Iterator[Fraction]:
+def _drawn_coefficients(coeffs: Sequence[Scalar], attempt: int, index: int) -> Iterator[Scalar]:
     """Coefficients drawn uniformly from coeffs by a `random.Random` seeded
     with the string "attempt/index": seeded, so every run draws the same
     ones.  A string seed is hashed (SHA-512), so each (attempt, index) has
@@ -366,7 +367,7 @@ def pure_witness(
     """
     if any(d < 2 for d in f.support):
         raise ValueError("a pure witness requires a simply connected rank vector")
-    coeffs = tuple(sorted({Fraction(c) for c in coeff_set}))
+    coeffs = coefficient_set(coeff_set)
     free, odds, monomials, slices = _pure_shape(f)
     for attempt in range(PURE_ATTEMPTS):
         values = [
@@ -387,7 +388,7 @@ def pure_witness(
 
 
 def _walk_pure_models(
-    f: RankVector, coeffs: Sequence[Fraction], max_models: int | None = None
+    f: RankVector, coeffs: Sequence[Scalar], max_models: int | None = None
 ) -> RealizabilityVerdict:
     """Walk the pure models on f with coefficients in coeffs (ascending),
     building at most max_models, until one has finite cohomology.
@@ -475,7 +476,7 @@ def realizable(
     if failing is not None:
         note = f"fails the arithmetic condition on even degrees {failing}"
         return RealizabilityVerdict("unrealizable", f, note=note)
-    coeffs = tuple(sorted({Fraction(c) for c in coeff_set}))
+    coeffs = coefficient_set(coeff_set)
     found = pure_witness(f, coeffs)
     if found is None:
         return _walk_pure_models(f, coeffs, max_models)

@@ -35,6 +35,7 @@ from .algebra import (
     SullivanModel,
     _Value,
     coefficient_box,
+    coefficient_set,
     search_differentials,
 )
 from .cohomology import (
@@ -44,6 +45,7 @@ from .cohomology import (
     coboundary_matrix,
     vector_to_element,
 )
+from .dsl import read_scalar, read_word
 from .ellipticity import (
     RankVector,
     elliptic_verdicts,
@@ -179,22 +181,17 @@ def element_terms_data(x: Element) -> list[list[str]]:
 
 
 def element_from_data(model: SullivanModel, terms: Sequence[Sequence[str]]) -> Element:
-    """The sum of c * word over the [word, c] pairs.  A word is "1" or
-    factors name or name^power joined by "*", multiplied in the order
-    written by `SullivanModel.word`; a power is ASCII digits.  Raises
-    ValueError on a malformed word or one that is 0."""
+    """The sum of c * word over the [word, c] pairs, each field read as a
+    model file reads it (`dsl.read_scalar`, `dsl.read_word`): a word is "1"
+    or a factor list such as b5*a3^2, multiplied in the order written by
+    `SullivanModel.word`.  Raises ValueError on a malformed field or a word
+    that is 0."""
     total = model.zero()
     for word, c in terms:
-        factors = []
-        for factor in [] if word == "1" else word.split("*"):
-            name, caret, e = factor.partition("^")
-            if caret and not (e.isascii() and e.isdigit()):
-                raise ValueError(f"power {e!r} of {name} is not a number")
-            factors.append((name, int(e) if caret else 1))
-        x = model.word(factors)
+        x = model.word(read_word(word))
         if not x:
             raise ValueError(f"word {word!r} is 0")
-        total = total + Fraction(c) * x
+        total = total + read_scalar(c) * x
     return total
 
 
@@ -367,14 +364,14 @@ def _candidate_monomials(free: SullivanModel, gen: GeneratorSpec) -> list[tuple[
     ]
 
 
-def _coeff_tuple(coeff_set: Sequence) -> tuple[Fraction, ...]:
-    cs = tuple(dict.fromkeys(Fraction(c) for c in coeff_set))
+def _coeff_tuple(coeff_set: Sequence) -> tuple:
+    cs = coefficient_set(coeff_set)
     if not cs:
         raise ValueError("coefficient set must be nonempty")
-    if Fraction(0) not in cs:
+    if 0 not in cs:
         raise ValueError("coefficient set must contain 0")
     # zero first so the untwisted product is tried before any twist
-    return tuple(sorted(cs, key=lambda c: (c != 0, c)))
+    return (0, *(c for c in cs if c != 0))
 
 
 class RelativeWitness(_Value):

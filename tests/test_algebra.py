@@ -123,6 +123,17 @@ class TestProducts:
         assert m.gen("x2") ** 4 == m.word((("x2", 4),))
         assert m.gen("x2") ** 0 == m.unit()
 
+    def test_pow_by_squaring_matches_repeated_products(self):
+        # a mixed element: its odd part squares to a nonzero even term
+        m = SullivanModel.free([("z1", 1), ("x2", 2), ("a3", 3), ("b3", 3)])
+        x = m.gen("x2") + Fraction(1, 2) * m.gen("z1") - m.gen("a3") + 3 * m.gen("x2") * m.gen("b3")
+        x = x + m.gen("a3") * m.gen("b3")
+        power = m.unit()
+        for n in range(9):
+            assert x ** n == power
+            power = power * x
+        assert m.gen("x2") ** 3000 == m.word((("x2", 3000),))
+
     def test_mixed_model_rejected(self):
         a = SullivanModel.free([("x2", 2)])
         b = SullivanModel.free([("y2", 2)])

@@ -249,6 +249,13 @@ class TestEllipticEnumerate:
         assert code == 2
         assert "coefficient set" in err
 
+    @pytest.mark.parametrize("coeffs", ["1_0,0", "0.5,0", "1e1,0", "1/0,0", "\uff12,0", "- 1,0"])
+    def test_coeffs_a_model_file_rejects_exit_2(self, capsys, coeffs):
+        # each piece is read as a model file reads a coefficient
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "4", f"--coeffs={coeffs}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad coefficient set {coeffs!r}: ")
+
     def test_negative_dim_exits_2(self, capsys):
         code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "-1")
         assert (code, out) == (2, "")
@@ -334,6 +341,18 @@ class TestFibration:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad --known entry '0=-1'")
 
+    @pytest.mark.parametrize("argv", [
+        ("--sphere", "\uff12", "--fiber-dim", "2"),
+        ("--sphere", "1_0", "--fiber-dim", "2"),
+        ("--sphere", "3", "--fiber-dim", "2.0"),
+        ("--sphere", "3", "--fiber-dim", "2", "--known", "1=1_0"),
+        ("--sphere", "3", "--fiber-dim", "2", "--known", "\u00b9=0"),
+    ])
+    def test_wang_integers_read_as_in_a_model_file(self, capsys, argv):
+        code, out, err = run(capsys, "fibration", "wang", "--total", "S2xS3", *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
     @pytest.mark.parametrize("pin, degree", [("5=1", "5"), ("-1=0", "-1")])
     def test_wang_known_outside_fiber_degrees_exits_2(self, capsys, pin, degree):
         # a pin the sequence cannot read is an error, not a silently dropped constraint
@@ -387,6 +406,12 @@ class TestCheckSubmersion:
                            "--total", "eschenburg", "--max-base-dim", "13")
         assert code == 2
         assert "max-base-dim" in err
+
+    def test_cap_a_model_file_rejects_exits_2(self, capsys):
+        code, out, err = run(capsys, "check", "submersion", "--total", "eschenburg",
+                             "--max-base-dim", "\uff13")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: --max-base-dim: expected an integer, got '\uff13'"
 
     def test_coeffs_without_zero_exits_2(self, capsys):
         code, out, err = run(capsys, "check", "submersion", "--total", "eschenburg",
@@ -454,6 +479,9 @@ class TestUsage:
         (("--dim",), "--dim needs a value"),
         (("--dim", "x"), "--dim: expected an integer, got 'x'"),
         (("--dim", "3", "--no-prune=1"), "--no-prune takes no value"),
+        (("--dim", "1_0"), "--dim: expected an integer, got '1_0'"),
+        (("--dim", "\uff14"), "--dim: expected an integer, got '\uff14'"),
+        (("--dim", " 4"), "--dim: expected an integer, got ' 4'"),
     ])
     def test_bad_option_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "elliptic", "enumerate", *argv)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan.dsl import ModelDocument, ParseError, format_model, parse_document, parse_model
-from sullivan.pipeline import catalog, find_entry
+from sullivan.pipeline import catalog, element_from_data, find_entry
 
 CP2_TEXT = """
 space CP2 {
@@ -198,3 +198,96 @@ class TestRoundTrip:
         model = parse_model(CP2_TEXT)
         once = format_model(model, "CP2")
         assert format_model(parse_model(once), "CP2") == once
+
+
+def _reads(read, text):
+    """read(text), or None when it raises ValueError."""
+    try:
+        return read(text)
+    except ValueError:
+        return None
+
+
+class TestOneReader:
+    """A certificate field and a --coeffs piece mean what the same text
+    means in a model file, and are rejected where a model file rejects it."""
+
+    COEFFICIENTS = {
+        "1": 1, "0": 0, "+1": 1, "-1": -1, "-1/2": Fraction(-1, 2), "3/6": Fraction(1, 2),
+        "007": 7, "--2": 2, "+-3": -3, "12345678901234567890": 12345678901234567890,
+        "1/0": None, "1_0": None, "1e1": None, "1.5": None, "２": None, "²": None,
+        "1/": None, "/2": None, "-": None, "+": None, "1/-2": None, "1/2/3": None,
+        "0x10": None, "q": None, "inf": None,
+    }
+
+    def test_coefficients_read_alike(self):
+        from sullivan.cli import CommandError, _coeffs_from
+
+        def model_file(c):
+            text = f"space M {{ generator x : 2; generator y : 3; d y = {c}*x^2; }}"
+            return sum(parse_model(text).d("y").terms.values(), Fraction(0))
+
+        def certificate(c):
+            free = parse_model("space M { generator x : 2; }")
+            return sum(element_from_data(free, [["x^2", c]]).terms.values(), Fraction(0))
+
+        def coeffs_piece(c):
+            try:
+                (value,) = _coeffs_from(c)
+            except CommandError as exc:
+                raise ValueError(exc) from None
+            return value
+
+        for text, want in self.COEFFICIENTS.items():
+            got = [_reads(read, text) for read in (model_file, certificate, coeffs_piece)]
+            assert got == [want] * 3, text
+        # a model file skips whitespace, a --coeffs piece is stripped, and
+        # a certificate field is one word
+        for text in (" 1", "1 ", "- 1", "3 /6"):
+            assert _reads(certificate, text) is None
+            assert _reads(model_file, text) == self.COEFFICIENTS["".join(text.split())]
+
+    # word -> its factors in the order written, None for a rejected word
+    WORDS = {
+        "a2": (("a2", 1),), "b5*a3": (("b5", 1), ("a3", 1)), "a2^2*a3": (("a2", 2), ("a3", 1)),
+        "a3*a2^2": (("a3", 1), ("a2", 2)), "b2^3": (("b2", 3),), "a2*b2*a2": (("a2", 1), ("b2", 1), ("a2", 1)),
+        "a2^07": (("a2", 7),), "a3*a3": (("a3", 1), ("a3", 1)), "a3^2": (("a3", 2),),
+        "b5*a3*b5": (("b5", 1), ("a3", 1), ("b5", 1)),
+        "q7": None, "a2^0": None, "a2^-1": None, "a2^": None, "a2*": None, "*a2": None,
+        "a2**b2": None, "a2^1_0": None, "a2^+2": None, "a2^２": None, "a2^²": None,
+        "a2^1.0": None, "a2^2^2": None, "2*a2": None, "-a2": None, "d": None, "a2/2": None,
+    }
+
+    def test_words_read_alike(self):
+        gens = "generator a2 : 2; generator a3 : 3; generator b2 : 2; generator b5 : 5;"
+        free = parse_model(f"space M {{ {gens} }}")
+
+        def model_file(word, degree):
+            # 1* puts the word where a d-clause term has its factor list
+            return parse_document(f"space M {{ {gens} generator t : {degree}; d t = 1*{word}; }}")
+
+        def certificate(word):
+            return _reads(lambda w: element_from_data(free, [[w, "1"]]), word)
+
+        for word, factors in self.WORDS.items():
+            if factors is None:
+                with pytest.raises(ParseError) as err:
+                    model_file(word, 3)
+                assert "needs degree" not in err.value.message, word
+                assert certificate(word) is None, word
+                continue
+            want = free.unit()
+            for name, power in factors:
+                want = want * free.gen(name) ** power
+            doc = model_file(word, sum(free.degree_of(n) * p for n, p in factors) - 1)
+            # a word that is 0 leaves a note in a model file and is an error
+            # in a certificate
+            assert str(doc.model.d("t")) == str(want), word
+            assert len(doc.notes) == (not want), word
+            assert certificate(word) == (want or None), word
+        # "1" is a certificate's unit word, which no d-clause needs; a
+        # certificate field is one word
+        assert certificate("1") == free.unit()
+        for word in ("a2 *b2", "a2^ 2", " a2*a2"):
+            assert certificate(word) is None
+            assert model_file(word, 3).model == model_file("".join(word.split()), 3).model

@@ -338,9 +338,10 @@ class TestRelativeCohomologyKills:
         assert KillCertificate(cert.kind, detail).revalidate() is False
 
     def test_word_tamper_cases(self):
-        """Words in a certificate read as in a model file: an odd word out
-        of order carries its sign, pairs with one word sum, and a word that
-        is 0 or malformed makes revalidate() read False."""
+        """Words and coefficients in a certificate read as in a model file:
+        an odd word out of order carries its sign, pairs with one word sum,
+        and a word that is 0 or a field that is malformed makes
+        revalidate() read False."""
         cert = check_relative_cohomology(
             find_entry("S2xCP2").model, rv("1:2,2:1"), find_entry(ESCH).betti
         )
@@ -363,6 +364,24 @@ class TestRelativeCohomologyKills:
         assert with_branch(base, {"z1_1": [["a2", "1"], ["a2", "-1"], ["a2", "1"]]}).revalidate()
         for word in ("a3*a3", "a3^2", "a2^1_0", "a2^99999999999"):
             assert with_branch(base, {"z1_1": [[word, "1"]]}).revalidate() is False
+        # coefficients too: a scaled d(b5) or d(z1_1) keeps the cohomology,
+        # so a coefficient the model file reads revalidates, and one it
+        # rejects reads False, whether Fraction would take it (1_0, 1e1,
+        # 1.5, a full-width 2, a leading space) or raise (1/0)
+        assert cert.detail["skeleton"]["differentials"]["b5"] == [["b2^3", "1"]]
+
+        def with_skeleton_coefficient(c):
+            detail = json.loads(json.dumps(cert.detail))
+            detail["skeleton"]["differentials"]["b5"] = [["b2^3", c]]
+            return KillCertificate(cert.kind, detail)
+
+        for c in ("1/0", "1_0", "1e1", "1.5", "\uff12", " 1", "+1", "-1/2"):
+            ok = c in ("+1", "-1/2")
+            assert with_skeleton_coefficient(c).revalidate() is ok
+            assert with_branch(base, {"z1_1": [["a2", c]]}).revalidate() is ok
+        a2 = free.gen("a2")
+        assert element_from_data(free, [["a2", "+1"]]) == a2
+        assert element_from_data(free, [["a2", "-1/2"]]) == Fraction(-1, 2) * a2
 
     def test_five_sphere_base_kill(self):
         # no degree-3 words exist over (x5, z2, z9), so dz2 = 0 is forced
