@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from .algebra import validate_model
 from .cohomology import betti_table
-from .dsl import ParseError, parse_document, read_int, read_scalar
+from .dsl import ParseError, parse_document, read_int, read_list, read_pairs, read_scalar
 from .ellipticity import RankVector, elliptic_verdicts, enumerate_candidates
 from .exactseq import fiber_rank_vectors, wang_fiber_betti
 from .pipeline import (
@@ -42,7 +42,7 @@ class CommandError(Exception):
 
 def _coeffs_from(text: str) -> tuple:
     try:
-        parts = tuple(read_scalar(p.strip()) for p in text.split(",") if p.strip())
+        parts = tuple(read_list(text, read_scalar))
     except ParseError as exc:
         raise CommandError(f"bad coefficient set {text!r}: {exc}")
     if not parts:
@@ -177,25 +177,12 @@ def _cmd_fibration_fiber_ranks(args) -> int:
 
 def _cmd_fibration_wang(args) -> int:
     total = _total_entry(args.total)
-    known = {}
-    if args.known:
-        for piece in args.known.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            k, sep, v = piece.partition("=")
-            if not sep:
-                raise CommandError(f"bad --known entry {piece!r} (use k=v)")
-            try:
-                k, v = _integer(k), _integer(v)
-            except ValueError:
-                raise CommandError(f"bad --known entry {piece!r}")
-            if v < 0:
-                raise CommandError(f"bad --known entry {piece!r}: a Betti number is not negative")
-            known[k] = v
+    for k, v in (args.known or {}).items():
+        if v < 0:
+            raise CommandError(f"bad --known entry '{k}={v}': a Betti number is not negative")
     try:
         solutions = wang_fiber_betti(
-            args.sphere, total.betti, args.fiber_dim, known_fiber=known or None
+            args.sphere, total.betti, args.fiber_dim, known_fiber=args.known
         )
     except ValueError as exc:
         raise CommandError(str(exc))
@@ -240,7 +227,7 @@ sullivan model check FILE [--max-degree N] [--require-minimal] [--require-simply
 sullivan model cohomology FILE --max-degree N [--format text|tree]
 sullivan elliptic enumerate --dim N [--no-prune] [--coeffs SET]
 sullivan fibration fiber-ranks --total SPEC --base SPEC
-sullivan fibration wang --sphere N --total SPEC --fiber-dim N [--known k=v,...]
+sullivan fibration wang --sphere N --total NAME|FILE --fiber-dim N [--known k=v,...]
 sullivan check submersion --total NAME|FILE --max-base-dim N [--coeffs SET] [--live-table]
 sullivan reproduce table1|prop31|prop32|prop41|prop42|theorem-a|theorem-b
 """
@@ -268,7 +255,7 @@ COMMANDS = {
         "--total": (str, True), "--base": (str, True)}),
     ("fibration", "wang"): (_cmd_fibration_wang, [], {
         "--sphere": (_integer, True), "--total": (str, True), "--fiber-dim": (_integer, True),
-        "--known": (str, False)}),
+        "--known": (lambda text: read_pairs(text, "="), False)}),
     ("check", "submersion"): (_cmd_check_submersion, [], {
         "--total": (str, True), "--max-base-dim": (_integer, True), "--coeffs": (str, False),
         "--live-table": (None, False)}),

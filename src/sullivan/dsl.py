@@ -18,7 +18,7 @@ nothing disappears silently.
 Certificates and the command line read numbers and words through
 `read_scalar`, `read_int` and `read_word`: one field, no whitespace, by
 the sign, number and factor-list rules of a d-clause term, so the text
-means what it means in a model file.
+means what it means in a model file; `read_list` and `read_pairs` read lists.
 """
 
 from __future__ import annotations
@@ -125,16 +125,11 @@ class _Parser:
         tok = self.here
         raise ParseError(message, tok.line, tok.col, expected)
 
-    def expect_sym(self, sym: str) -> Token:
+    def expect(self, text: str) -> Token:
+        """The next token, a symbol or keyword that must read text."""
         tok = self.here
-        if tok.kind != "sym" or tok.text != sym:
-            self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input", (repr(sym),))
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.here
-        if tok.kind != "ident" or tok.text != word:
-            self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input", (repr(word),))
+        if tok.text != text:
+            self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input", (repr(text),))
         return self.advance()
 
     def expect_name(self) -> Token:
@@ -152,6 +147,9 @@ class _Parser:
         self.advance()
         return int(tok.text), tok
 
+    def signed_int(self) -> int:
+        return self.sign() * self.expect_int()[0]
+
     def expect_end(self) -> None:
         if self.here.kind != "end":
             self.fail(f"trailing input {self.here.text!r}", ("end of input",))
@@ -159,9 +157,9 @@ class _Parser:
     # -- document --------------------------------------------------------
 
     def document(self) -> ModelDocument:
-        self.expect_keyword("space")
+        self.expect("space")
         name = self.expect_name().text
-        self.expect_sym("{")
+        self.expect("{")
         gens: list[GeneratorSpec] = []
         declared: dict[str, Token] = {}
         clauses: list[tuple[Token, list]] = []
@@ -177,22 +175,22 @@ class _Parser:
                     raise ParseError(
                         f"duplicate generator {gname.text!r}", gname.line, gname.col
                     )
-                self.expect_sym(":")
+                self.expect(":")
                 degree, dtok = self.expect_int()
                 if degree < 1:
                     raise ParseError("degree must be >= 1", dtok.line, dtok.col)
                 origin = "plain"
                 if self.here.kind == "ident" and self.here.text in ("base", "fiber"):
                     origin = self.advance().text
-                self.expect_sym(";")
+                self.expect(";")
                 declared[gname.text] = gname
                 gens.append(GeneratorSpec(gname.text, degree, origin))
             elif tok.kind == "ident" and tok.text == "d":
                 self.advance()
                 target = self.expect_name()
-                self.expect_sym("=")
+                self.expect("=")
                 terms = self.expression()
-                self.expect_sym(";")
+                self.expect(";")
                 clauses.append((target, terms))
             elif tok.kind == "end":
                 self.fail("unterminated block", ("'}'", "'generator'", "'d'"))
@@ -323,7 +321,7 @@ def read_scalar(text: str) -> Fraction:
 
 def read_int(text: str) -> int:
     """A signed integer, as the model file's integers with a sign."""
-    return _read_field(text, lambda p: p.sign() * p.expect_int()[0])
+    return _read_field(text, _Parser.signed_int)
 
 
 def read_word(text: str) -> list[tuple[str, int]]:
@@ -332,6 +330,31 @@ def read_word(text: str) -> list[tuple[str, int]]:
     if text == "1":
         return []
     return [(name, power) for name, power, _ in _read_field(text, _Parser.factors)]
+
+
+def read_list(text: str, read) -> list:
+    """read's value on each comma-separated field of text, stripped at its
+    ends; blank text has no fields, and an empty field is an error."""
+    fields = [field.strip() for field in text.split(",")] if text.strip() else []
+    if "" in fields:
+        raise ParseError(f"empty field {fields.index('') + 1}", 1, 1)
+    return [read(field) for field in fields]
+
+
+def read_pairs(text: str, sep: str) -> dict[int, int]:
+    """{key: value} from the `read_list` fields key sep value, each side
+    read as `read_int` reads it; a repeated key is an error."""
+    pairs: dict[int, int] = {}
+
+    def pair(p: _Parser) -> None:
+        key = p.signed_int()
+        if key in pairs:
+            raise ParseError(f"repeated key {key}", 1, 1)
+        p.expect(sep)
+        pairs[key] = p.signed_int()
+
+    read_list(text, lambda field: _read_field(field, pair))
+    return pairs
 
 
 def parse_document(text: str) -> ModelDocument:

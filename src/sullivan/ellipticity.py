@@ -41,6 +41,7 @@ from .algebra import (
     coefficient_set,
     search_differentials,
 )
+from .dsl import read_pairs
 from .linalg import extend_echelon
 
 
@@ -64,21 +65,8 @@ class RankVector(_Value):
 
     @classmethod
     def parse(cls, text: str) -> "RankVector":
-        """Parse "2:1,3:2"; whitespace is tolerated."""
-        ranks: dict[int, int] = {}
-        text = text.strip()
-        if not text:
-            return cls(())
-        for chunk in text.split(","):
-            try:
-                d, c = chunk.split(":")
-                d, c = int(d), int(c)
-            except ValueError:
-                raise ValueError(f"expected degree:rank, got {chunk.strip()!r}")
-            if d in ranks:
-                raise ValueError(f"degree {d} repeated")
-            ranks[d] = c
-        return cls.of(ranks)
+        """Parse "2:1,3:2" by `dsl.read_pairs`; "" is the empty vector."""
+        return cls.of(read_pairs(text, ":"))
 
     def to_string(self) -> str:
         return ",".join(f"{d}:{c}" for d, c in self.counts)
@@ -335,6 +323,25 @@ def _pure_shape(f: RankVector):
     return free, odds, monomials, slices
 
 
+def _extend_slices(free: SullivanModel, slices, echelons, j: int, values: Sequence[Element]):
+    """Each slice's echelon, of the ideal of dy over the odd generators
+    before j, extended by the multiples m*dy of the next ones, dy in values;
+    None once, in some slice, the rank plus the multiples of the odd
+    generators after those falls short."""
+    extended = []
+    for echelon, (top, shifts) in zip(echelons, slices):
+        columns = (
+            column
+            for value, shift in zip(values, shifts[j:])
+            for column in _relation_columns(free, top, value, shift)
+        )
+        echelon = extend_echelon(echelon, columns, len(top))
+        if len(echelon) + sum(map(len, shifts[j + len(values):])) < len(top):
+            return None
+        extended.append(echelon)
+    return extended
+
+
 PURE_ATTEMPTS = 8
 
 
@@ -362,8 +369,7 @@ def pure_witness(
     coefficients come from coeff_set, sorted, by `_drawn_coefficients`;
     attempt a = 0, 1, ..., PURE_ATTEMPTS - 1 reseeds it.  The certificate
     is that the ideal (dy) fills every slice of `_pure_shape`, checked by
-    integer elimination of the multiples m*dy (`_relation_columns`,
-    `extend_echelon`).
+    integer elimination of the multiples m*dy (`_extend_slices`).
     """
     if any(d < 2 for d in f.support):
         raise ValueError("a pure witness requires a simply connected rank vector")
@@ -374,15 +380,7 @@ def pure_witness(
             Element(free, dict(zip(mons, _drawn_coefficients(coeffs, attempt, j))))
             for j, mons in enumerate(monomials)
         ]
-        for top, shifts in slices:
-            columns = (
-                column
-                for value, shift in zip(values, shifts)
-                for column in _relation_columns(free, top, value, shift)
-            )
-            if len(extend_echelon({}, columns, len(top))) < len(top):
-                break
-        else:
+        if _extend_slices(free, slices, [{} for _ in slices], 0, values) is not None:
             return free.with_differentials(dict(zip((y.name for y in odds), values))), attempt
     return None
 
@@ -396,19 +394,15 @@ def _walk_pure_models(
     `search_differentials` assigns dy to the odd generators y in degree
     order, nondecreasing within a degree, as those are interchangeable.
     Each depth keeps one echelon per slice of `_pure_shape`, its parent's
-    extended by the multiples m*dy of its own y, and prunes once, in some
-    slice, the rank plus what the deeper y can add falls short.  So a leaf
-    fills every slice, and its model is certified.
+    extended by the multiples m*dy of its own y, and prunes, the root too,
+    once in some slice the rank plus what the deeper y can add falls short
+    (`_extend_slices`).  So a leaf fills every slice, and its model is
+    certified.
     """
     free, odds, monomials, slices = _pure_shape(f)
     box = f"coefficients from {sorted(map(str, coeffs))}"
-    # reaches[s][i]: the most the odd generators at depths > i can add to
-    # the ideal rank in slice s
-    reaches = [
-        [sum(map(len, shifts[i:])) for i in range(len(odds) + 1)] for _, shifts in slices
-    ]
     # echelons[i][s]: slice s of the ideal of dy over the first i odds
-    echelons: list[list[dict]] = [[{} for _ in slices]] * (len(odds) + 1)
+    echelons: list = [_extend_slices(free, slices, [{} for _ in slices], 0, ())] * (len(odds) + 1)
     examined = 0
 
     def counted(points):
@@ -428,17 +422,10 @@ def _walk_pure_models(
     def node(path, model) -> bool:
         depth = len(path)
         if depth:
-            value = path[-1][1]
-            echelons[depth] = [
-                extend_echelon(
-                    echelon, _relation_columns(free, top, value, shifts[depth - 1]), len(top)
-                )
-                for echelon, (top, shifts) in zip(echelons[depth - 1], slices)
-            ]
-        return all(
-            len(echelon) + reach[depth] >= len(top)
-            for echelon, (top, _), reach in zip(echelons[depth], slices, reaches)
-        )
+            echelons[depth] = _extend_slices(
+                free, slices, echelons[depth - 1], depth - 1, [path[-1][1]]
+            )
+        return echelons[depth] is not None
 
     def leaf(path, model) -> RealizabilityVerdict:
         note = f"pure model with {box}, Q[x]/(dy) zero above degree {formal_dimension(f)}"

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from sullivan.cli import main
+from sullivan.dsl import read_int
+from sullivan.ellipticity import RankVector
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -353,6 +355,14 @@ class TestFibration:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1].startswith("error: ")
 
+    def test_wang_total_is_a_name_or_file(self, capsys):
+        # unlike fiber-ranks, wang needs a total space's Betti numbers, so
+        # an inline rank vector is read as a catalog name
+        code, out, err = run(capsys, "fibration", "wang", "--sphere", "2",
+                             "--total", "2:1,3:1", "--fiber-dim", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no catalog entry named '2:1,3:1'; known: S2, ")
+
     @pytest.mark.parametrize("pin, degree", [("5=1", "5"), ("-1=0", "-1")])
     def test_wang_known_outside_fiber_degrees_exits_2(self, capsys, pin, degree):
         # a pin the sequence cannot read is an error, not a silently dropped constraint
@@ -431,6 +441,82 @@ class TestCheckSubmersion:
                            "--total", "mystery", "--max-base-dim", "4")
         assert code == 2
         assert "mystery" in err
+
+
+class TestListReaders:
+    """A rank vector, an inline --total of fiber-ranks, --known pins and
+    --coeffs read their lists by one rule: fields separated by commas and
+    stripped at their ends, no empty field, integers as `read_int` reads
+    them, and no repeated key in the two pair lists."""
+
+    @staticmethod
+    def readers(capsys):
+        """Per list reader, whether it accepts a list: (rank vector, the
+        total of fiber-ranks, --known, --coeffs), the first three given
+        as pairs with ':' and the last as values."""
+
+        def rank_vector(text):
+            try:
+                RankVector.parse(text)
+            except ValueError:
+                return False
+            return True
+
+        def total(text):
+            _, _, err = run(capsys, "fibration", "fiber-ranks", "--total", text, "--base", "S2")
+            return "error: bad space spec" not in err
+
+        def known(text):
+            code, _, err = run(capsys, "fibration", "wang", "--sphere", "2", "--total", "S2xS5",
+                               "--fiber-dim", "5", "--known", text.replace(":", "="))
+            assert code in (0, 2)
+            return "error: --known: " not in err
+
+        def coeffs(text):
+            _, _, err = run(capsys, "elliptic", "enumerate", "--dim", "2", "--coeffs", text)
+            return "error: bad coefficient set" not in err
+
+        return rank_vector, total, known, coeffs
+
+    # integer text, none of it negative
+    SIDES = ("1", "+1", "01", "1_0", "\uff11", "\u00b9", "2.0", " 2", "2 ", "1/1", "--1", "x")
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_integers_read_as_read_int(self, capsys, side):
+        def read_as_int(text):
+            try:
+                read_int(text)
+            except ValueError:
+                return False
+            return True
+
+        rank_vector, total, known, coeffs = self.readers(capsys)
+        # a field is stripped at its ends, so only whitespace inside it counts
+        for read in (rank_vector, total, known):
+            assert read(f"1:0,2:{side}") == read_as_int(side.rstrip()), (read.__name__, side)
+            assert read(f"{side}:0,3:1") == read_as_int(side.lstrip()), (read.__name__, side)
+        if side != "1/1":  # a coefficient, not an integer
+            assert coeffs(f"0,{side}") == read_as_int(side.strip()), side
+
+    @pytest.mark.parametrize("pairs, values, ok", [
+        ("3:2, 2:1", " 0 , 1", (True, True)),
+        (" ", "", (True, False)),  # no fields; an empty --coeffs set is an error
+        ("2:1,,3:1", "0,,1", (False, False)),
+        ("2:1,", "0,", (False, False)),
+        (",2:1", ",0", (False, False)),
+        (" , ", " , ", (False, False)),
+        ("2 : 1", "- 1", (False, False)),
+    ])
+    def test_fields(self, capsys, pairs, values, ok):
+        rank_vector, total, known, coeffs = self.readers(capsys)
+        assert [read(pairs) for read in (rank_vector, total, known)] == [ok[0]] * 3
+        assert coeffs(values) == ok[1]
+
+    def test_repeated_key(self, capsys):
+        rank_vector, total, known, coeffs = self.readers(capsys)
+        assert [read("1:0,1:1") for read in (rank_vector, total, known)] == [False] * 3
+        assert coeffs("0,0,1")  # a repeated coefficient counts once
+        assert RankVector.parse("3:2, 2:1").to_string() == "2:1,3:2"
 
 
 class TestReproduce:
