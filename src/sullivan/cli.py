@@ -145,11 +145,11 @@ def _cmd_model_cohomology(args) -> int:
 
 
 def _cmd_elliptic_enumerate(args) -> int:
+    coeffs = _coeffs_from(args.coeffs) if args.coeffs is not None else (-1, 0, 1)
     if args.no_prune:
         for f in enumerate_candidates(args.dim):
             print(f)
         return 0
-    coeffs = _coeffs_from(args.coeffs) if args.coeffs is not None else (-1, 0, 1)
     undecided = []
     for verdict in elliptic_verdicts(args.dim, coeffs):
         if verdict.status == "realized":
@@ -193,12 +193,6 @@ def _cmd_fibration_wang(args) -> int:
 
 
 def _cmd_check_submersion(args) -> int:
-    if args.live_table:
-        drift = audit_table()
-        if drift:
-            for line in drift:
-                print(f"fixture drift: {line}", file=sys.stderr)
-            return 1
     total = _total_entry(args.total)
     if not 2 <= args.max_base_dim < total.dim:
         raise CommandError(
@@ -207,6 +201,12 @@ def _cmd_check_submersion(args) -> int:
     coeffs = _coeffs_from(args.coeffs) if args.coeffs is not None else (0, 1)
     if 0 not in coeffs:
         raise CommandError("the coefficient set of check submersion must contain 0")
+    if args.live_table:
+        drift = audit_table()
+        if drift:
+            for line in drift:
+                print(f"fixture drift: {line}", file=sys.stderr)
+            return 1
     report = analyze(total, args.max_base_dim, coeff_set=coeffs)
     print(json.dumps(report.to_dict(), indent=2))
     n = len(report.survivors)

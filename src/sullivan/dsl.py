@@ -334,11 +334,22 @@ def read_word(text: str) -> list[tuple[str, int]]:
 
 def read_list(text: str, read) -> list:
     """read's value on each comma-separated field of text, stripped at its
-    ends; blank text has no fields, and an empty field is an error."""
-    fields = [field.strip() for field in text.split(",")] if text.strip() else []
-    if "" in fields:
-        raise ParseError(f"empty field {fields.index('') + 1}", 1, 1)
-    return [read(field) for field in fields]
+    ends; blank text has no fields, and an empty field is an error.  An
+    error in a field is placed at its column in text."""
+    if not text.strip():
+        return []
+    values, start = [], 0
+    for n, field in enumerate(text.split(","), 1):
+        stripped = field.strip()
+        col = start + len(field) - len(field.lstrip()) + 1  # where stripped begins
+        start += len(field) + 1
+        if not stripped:
+            raise ParseError(f"empty field {n}", 1, col)
+        try:
+            values.append(read(stripped))
+        except ParseError as exc:
+            raise ParseError(exc.message, 1, col + exc.col - 1, exc.expected) from None
+    return values
 
 
 def read_pairs(text: str, sep: str) -> dict[int, int]:

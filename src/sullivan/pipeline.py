@@ -42,6 +42,7 @@ from .cohomology import (
     BettiTable,
     betti,
     betti_table,
+    coboundary_columns,
     coboundary_matrix,
     vector_to_element,
 )
@@ -397,13 +398,9 @@ def _witness_classes(
     """Representatives of cohomology classes in degree k, the coboundary
     image rank, and the image's pivot monomials."""
     kernel = coboundary_matrix(model, k).nullspace_basis()
-    image_rows: list = []
-    if k > 0:
-        image_rows = coboundary_matrix(model, k - 1).transpose().rows
-    span = rref(image_rows)
-    image_rank = len(span)
+    span = rref(coboundary_columns(model, k - 1, range(model.dimension_of_degree(k - 1))))
     basis = model.basis_of_degree(k)
-    image_monomials = [basis[p].format() for p in span]
+    image = [basis[p].format() for p in span]
     witnesses: list[str] = []
     for vec in kernel:
         # the residue, 0 at the span's pivots, joins the span
@@ -414,7 +411,7 @@ def _witness_classes(
             witnesses.append(str(vector_to_element(model, scaled, k)))
             if len(witnesses) >= limit:
                 break
-    return witnesses, image_rank, image_monomials
+    return witnesses, len(image), image
 
 
 def check_relative_cohomology(
@@ -430,17 +427,16 @@ def check_relative_cohomology(
 
     Branches are pruned at their first Betti mismatch, checking degrees as
     soon as every generator that can contribute is assigned.  The
-    certificate records each pruned branch and a full mismatch scan of the
-    deepest branch completed with zero differentials.
+    certificate records each pruned branch and a full mismatch scan of
+    the deepest branch: the largest (degree, number of assigned
+    generators), the first found among equals, with d = 0 on the fiber
+    generators it leaves unassigned.
     """
     bound = len(target.values) + 1
     skeleton, fiber_gens = _relative_skeleton(base, fiber_ranks)
     coeffs = _coeff_tuple(coeff_set)
     candidates = {g.name: _candidate_monomials(skeleton, g) for g in fiber_gens}
-    branches: list[dict] = []
-
-    def assignment_data(path) -> dict:
-        return {g.name: element_terms_data(v) for g, (_, v) in zip(fiber_gens, path)}
+    pruned: list[tuple[list[Element], int, int]] = []  # (values, degree, computed)
 
     def checkable_through(idx: int) -> int:
         if idx >= len(fiber_gens):
@@ -459,14 +455,7 @@ def check_relative_cohomology(
         for k in range(low, checkable_through(depth) + 1):
             got = betti(model, k)
             if got != target[k]:
-                branches.append(
-                    {
-                        "assignment": assignment_data(path),
-                        "degree": k,
-                        "computed": got,
-                        "required": target[k],
-                    }
-                )
+                pruned.append(([v for _, v in path], k, got))
                 return False
         return True
 
@@ -479,16 +468,11 @@ def check_relative_cohomology(
     if found is not None:
         return RelativeWitness(*found, rejected_invalid=dropped)
 
-    if branches:
-        deepest = max(branches, key=lambda r: (r["degree"], len(r["assignment"])))
-    else:
-        deepest = {"assignment": {}, "degree": -1}
-    scan_assignment = dict(deepest["assignment"])
-    for g in fiber_gens:
-        scan_assignment.setdefault(g.name, [])
-    scan_model = skeleton.with_differentials(
-        {n: element_from_data(skeleton, terms) for n, terms in scan_assignment.items()}
-    )
+    def assignment_data(values) -> dict:
+        return {g.name: element_terms_data(v) for g, v in zip(fiber_gens, values)}
+
+    values, degree, computed = max(pruned, key=lambda b: (b[1], len(b[0])), default=([], -1, None))
+    scan_model = skeleton.with_differentials({g.name: v for g, v in zip(fiber_gens, values)})
     scan_rows = []
     for k in range(bound + 1):
         got = betti(scan_model, k)
@@ -505,9 +489,9 @@ def check_relative_cohomology(
         scan_rows.append(row)
     detail = {
         "fiber": fiber_ranks.to_string(),
-        "degree": deepest["degree"],
-        "computed": deepest.get("computed"),
-        "required": target[deepest["degree"]] if deepest["degree"] >= 0 else None,
+        "degree": degree,
+        "computed": computed,
+        "required": target[degree] if degree >= 0 else None,
         "target": list(target.values),
         "bound": bound,
         "coeff_set": [str(c) for c in coeffs],
@@ -516,9 +500,15 @@ def check_relative_cohomology(
             g.name: [str(Element(skeleton, {vec: 1})) for vec in candidates[g.name]]
             for g in fiber_gens
         },
-        "branches": branches,
+        "branches": [
+            {"assignment": assignment_data(vs), "degree": k, "computed": got, "required": target[k]}
+            for vs, k, got in pruned
+        ],
         "rejected_invalid": dropped,
-        "scan": {"assignment": scan_assignment, "rows": scan_rows},
+        "scan": {
+            "assignment": assignment_data(scan_model.d_of_generator(g.name) for g in fiber_gens),
+            "rows": scan_rows,
+        },
     }
     return KillCertificate("relative-model-cohomology", detail)
 
@@ -642,39 +632,22 @@ def analyze(
         verdicts = []
         for fiber in fiber_rank_vectors(entry.rank_vector, base_entry.rank_vector):
             checks = ["dimension-formula"]
-            cert = check_dimension_formula(fiber, fiber_dim)
-            if cert is None and base_entry.rank_vector == TWO_SPHERE:
+            outcome = check_dimension_formula(fiber, fiber_dim)
+            if outcome is None and base_entry.rank_vector == TWO_SPHERE:
                 checks.append("wang-betti-bound")
-                cert = check_wang_bound(2, entry.betti, fiber, fiber_dim)
-            witness = None
-            if cert is None:
+                outcome = check_wang_bound(2, entry.betti, fiber, fiber_dim)
+            if outcome is None:
                 checks.append("relative-model-cohomology")
-                outcome = check_relative_cohomology(
-                    base_entry.model, fiber, entry.betti, coeff_set
-                )
-                if isinstance(outcome, KillCertificate):
-                    cert = outcome
-                else:
-                    witness = outcome
-            if cert is not None:
-                verdicts.append(
-                    FiberVerdict(
-                        fiber, "killed", certificate=cert, checks_run=tuple(checks)
-                    )
-                )
+                outcome = check_relative_cohomology(base_entry.model, fiber, entry.betti, coeff_set)
+            if isinstance(outcome, KillCertificate):
+                verdict = FiberVerdict(fiber, "killed", certificate=outcome, checks_run=tuple(checks))
             else:
-                flags = ()
-                if base_entry.dim <= fiber_dim:
-                    flags = (INTEGRAL_FLAG,)
-                verdicts.append(
-                    FiberVerdict(
-                        fiber,
-                        "survives-rationally",
-                        flags=flags,
-                        witness={"differentials": witness.assignment_text()},
-                        checks_run=tuple(checks),
-                    )
+                flags = (INTEGRAL_FLAG,) if base_entry.dim <= fiber_dim else ()
+                witness = {"differentials": outcome.assignment_text()}
+                verdict = FiberVerdict(
+                    fiber, "survives-rationally", flags=flags, witness=witness, checks_run=tuple(checks)
                 )
+            verdicts.append(verdict)
         analyses.append(
             BaseAnalysis(
                 name=base_entry.name,

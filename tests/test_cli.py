@@ -258,6 +258,13 @@ class TestEllipticEnumerate:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad coefficient set {coeffs!r}: ")
 
+    def test_no_prune_still_reads_coeffs(self, capsys):
+        # --no-prune ignores the box, but a malformed --coeffs is an error
+        code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "3", "--no-prune",
+                             "--coeffs=0,,1")
+        assert (code, out) == (2, "")
+        assert err == "error: bad coefficient set '0,,1': line 1, col 3: empty field 2\n"
+
     def test_negative_dim_exits_2(self, capsys):
         code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "-1")
         assert (code, out) == (2, "")
@@ -410,6 +417,14 @@ class TestCheckSubmersion:
         code, _, _ = run(capsys, "check", "submersion", "--total", "eschenburg",
                          "--max-base-dim", "6", "--live-table")
         assert code == 0
+
+    def test_live_table_audits_after_every_value_is_read(self, capsys, monkeypatch):
+        audits = []
+        monkeypatch.setattr("sullivan.cli.audit_table", lambda: audits.append(1) or [])
+        code, out, err = run(capsys, "check", "submersion", "--total", "eschenburg",
+                             "--max-base-dim", "6", "--live-table", "--coeffs=1")
+        assert (code, out, audits) == (2, "", [])
+        assert err == "error: the coefficient set of check submersion must contain 0\n"
 
     def test_cap_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "submersion",

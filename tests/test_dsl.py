@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan.dsl import ModelDocument, ParseError, format_model, parse_document, parse_model
+from sullivan.dsl import (
+    ModelDocument,
+    ParseError,
+    format_model,
+    parse_document,
+    parse_model,
+    read_list,
+    read_pairs,
+    read_scalar,
+)
 from sullivan.pipeline import catalog, element_from_data, find_entry
 
 CP2_TEXT = """
@@ -164,6 +173,26 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_document(text)
         assert (err.value.line, err.value.col) == (line, col)
+        assert message in err.value.message
+
+    @pytest.mark.parametrize(
+        "text, sep, col, message",
+        [
+            # a field's error sits at its column in the whole list; sep
+            # None reads numbers, else pairs int sep int
+            ("0,1_0", None, 4, "trailing input"),
+            ("0,,1", None, 3, "empty field 2"),
+            ("0, 1_0", None, 5, "trailing input"),
+            (",0", None, 1, "empty field 1"),
+            ("2:1,3:x", ":", 7, "expected an integer"),
+            ("1=0,2:1", "=", 6, "found ':'"),
+            ("2:1, 2 : 1", ":", 6, "is not one word"),
+        ],
+    )
+    def test_list_errors_are_placed_in_the_list(self, text, sep, col, message):
+        with pytest.raises(ParseError) as err:
+            read_pairs(text, sep) if sep else read_list(text, read_scalar)
+        assert (err.value.line, err.value.col) == (1, col)
         assert message in err.value.message
 
     def test_expected_tokens_attached(self):

@@ -29,6 +29,7 @@ from sullivan.pipeline import (
     _candidate_monomials,
     _coeff_tuple,
     _relative_skeleton,
+    _witness_classes,
     audit_table,
     catalog,
     check_dimension_formula,
@@ -422,6 +423,39 @@ class TestRelativeCohomologyKills:
         )
         assert cert.detail["candidates"]["z1"] == ["x2"]
         assert len(cert.detail["candidates"]["z9"]) == 10
+
+    def test_scan_follows_the_first_deepest_branch(self):
+        """The scan model is the first recorded branch with the largest
+        (degree, number of assigned generators), with d = 0 on the fiber
+        generators it leaves unassigned; 8 of these 14 kills have ties."""
+        kills = ties = 0
+        for total, cap in [("S2xCP2", 5), ("S2xS5", 6), ("S3xS4", 6), ("S2xS4", 5),
+                           (ESCH, 6), (BAZ, 7)]:
+            for base in analyze(total, cap).entries:
+                for verdict in base.verdicts:
+                    cert = verdict.certificate
+                    if cert is None or cert.kind != "relative-model-cohomology":
+                        continue
+                    d = cert.detail
+                    keys = [(b["degree"], len(b["assignment"])) for b in d["branches"]]
+                    deepest = d["branches"][keys.index(max(keys))]
+                    ties += keys.count(max(keys)) > 1
+                    padded = {name: deepest["assignment"].get(name, []) for name in d["candidates"]}
+                    assert d["scan"]["assignment"] == padded
+                    assert list(d["scan"]["assignment"]) == list(d["candidates"])
+                    assert (d["degree"], d["computed"], d["required"]) == (
+                        deepest["degree"], deepest["computed"], deepest["required"])
+                    kills += 1
+        assert (kills, ties) == (14, 8)
+
+    @pytest.mark.parametrize(
+        "k, expected",
+        [(0, (["1"], 0, [])), (4, (["x2^2"], 0, [])), (6, ([], 1, ["x2^3"]))],
+    )
+    def test_witness_classes_of_cp2(self, k, expected):
+        # classes, image rank and image pivots of degree k; the image is
+        # read before the classes join the span
+        assert _witness_classes(find_entry("CP2").model, k, 3) == expected
 
 
 class TestRelativeCohomologyWitnesses:
