@@ -55,17 +55,48 @@ class _Record:
     """Base of the package's records.
 
     A record's fields are the names in its class's `__slots__` (a
-    `__dict__` there holds cached properties only), and its `__init__`
-    sets them.  Two records are equal when they are of one class and their
+    `__dict__` there holds cached properties only), and the one
+    `__init__` here binds them: positional values in field order, then
+    keyword values, then the class's `_defaults`; too many values, an
+    unknown or repeated keyword and a missing field raise TypeError.  It
+    then calls `_check`, which a record with rules overrides to raise
+    ValueError.  Two records are equal when they are of one class and their
     field tuples are equal; repr lists the fields.  A `_Record` is mutable
     and unhashable, a `_Value` frozen and hashed as its field tuple, as
     dataclasses would make them.  They are written by hand so that
     importing the package generates no code and loads neither
-    `dataclasses` nor `typing`.
+    `dataclasses` nor `typing`; `ValidationReport` alone keeps its own
+    constructor, as its defaults are fresh lists.
     """
 
     __slots__ = ()
     __hash__ = None
+    _defaults: dict = {}
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) > len(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(fields)} fields, got {len(values)}"
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        for name in fields[len(values):]:
+            if name in named:
+                value = named.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{self.__class__.__qualname__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if named:
+            raise TypeError(
+                f"{self.__class__.__qualname__} got unknown or repeated fields {sorted(named)}"
+            )
+        self._check()
+
+    def _check(self):
+        pass
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -110,11 +141,9 @@ class GeneratorSpec(_Value):
     """
 
     __slots__ = ("name", "degree", "origin")
+    _defaults = {"origin": "plain"}
 
-    def __init__(self, name: str, degree: int, origin: str = "plain"):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "origin", origin)
+    def _check(self):
         if not self.name or not self.name.isidentifier():
             raise ValueError(f"generator name must be an identifier: {self.name!r}")
         if self.degree < 1:
@@ -133,6 +162,17 @@ def format_word(factors: Iterable[tuple[str, int]]) -> str:
     return "*".join([name if e == 1 else f"{name}^{e}" for name, e in factors]) or "1"
 
 
+def format_terms(pairs: Iterable[tuple[str, str]]) -> str:
+    """The sum of the terms (word, coefficient text) as an element prints
+    it: c*word, a coefficient 1 left out and -1 written as a sign, the
+    unit word "1" as its coefficient alone; "0" for no terms."""
+    parts = [
+        c if word == "1" else word if c == "1" else f"-{word}" if c == "-1" else f"{c}*{word}"
+        for word, c in pairs
+    ]
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 class Monomial(_Value):
     """A canonical-form monomial: ((name, exponent), ...) in declaration order.
 
@@ -142,13 +182,7 @@ class Monomial(_Value):
     """
 
     __slots__ = ("exps",)
-
-    def __init__(self, exps: tuple[tuple[str, int], ...] = ()):
-        object.__setattr__(self, "exps", exps)
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.exps
+    _defaults = {"exps": ()}
 
     def format(self) -> str:
         return format_word(self.exps)
@@ -283,23 +317,7 @@ class Element:
         return self.model.d(self)
 
     def __repr__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mon, c in self.sorted_terms():
-            if mon.is_unit:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mon.format())
-            elif c == -1:
-                parts.append(f"-{mon.format()}")
-            else:
-                parts.append(f"{c}*{mon.format()}")
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
-
-
-DiffTable = tuple[tuple[str, tuple[tuple[Vector, Scalar], ...]], ...]
+        return format_terms([(mon.format(), str(c)) for mon, c in self.sorted_terms()])
 
 
 class SullivanModel(_Value):
@@ -314,10 +332,9 @@ class SullivanModel(_Value):
     """
 
     __slots__ = ("generators", "diff", "__dict__")
+    _defaults = {"diff": ()}
 
-    def __init__(self, generators: tuple[GeneratorSpec, ...], diff: DiffTable = ()):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "diff", diff)
+    def _check(self):
         seen = set()
         for g in self.generators:
             if g.name in seen:

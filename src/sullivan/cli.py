@@ -41,12 +41,13 @@ class CommandError(Exception):
 
 
 def _coeffs_from(text: str) -> tuple:
+    """A nonempty list of rationals, each as a model file writes one."""
     try:
         parts = tuple(read_list(text, read_scalar))
     except ParseError as exc:
-        raise CommandError(f"bad coefficient set {text!r}: {exc}")
+        raise ValueError(f"bad coefficient set {text!r}: {exc}") from None
     if not parts:
-        raise CommandError(f"bad coefficient set {text!r}: empty")
+        raise ValueError(f"bad coefficient set {text!r}: empty")
     return parts
 
 
@@ -86,7 +87,7 @@ def _rank_vector_spec(spec: str) -> RankVector:
     try:
         return RankVector.parse(spec)
     except ValueError as exc:
-        raise CommandError(f"bad space spec {spec!r}: {exc}")
+        raise ValueError(f"bad space spec {spec!r}: {exc}") from None
 
 
 def _total_entry(spec: str) -> SpaceCatalogEntry:
@@ -145,7 +146,7 @@ def _cmd_model_cohomology(args) -> int:
 
 
 def _cmd_elliptic_enumerate(args) -> int:
-    coeffs = _coeffs_from(args.coeffs) if args.coeffs is not None else (-1, 0, 1)
+    coeffs = args.coeffs if args.coeffs is not None else (-1, 0, 1)
     if args.no_prune:
         for f in enumerate_candidates(args.dim):
             print(f)
@@ -164,10 +165,8 @@ def _cmd_elliptic_enumerate(args) -> int:
 
 
 def _cmd_fibration_fiber_ranks(args) -> int:
-    total = _rank_vector_spec(args.total)
-    base = _rank_vector_spec(args.base)
     try:
-        fibers = fiber_rank_vectors(total, base)
+        fibers = fiber_rank_vectors(args.total, args.base)
     except ValueError as exc:
         raise CommandError(str(exc))
     for f in fibers:
@@ -198,7 +197,7 @@ def _cmd_check_submersion(args) -> int:
         raise CommandError(
             f"--max-base-dim must lie in [2, {total.dim - 1}] for {total.name}"
         )
-    coeffs = _coeffs_from(args.coeffs) if args.coeffs is not None else (0, 1)
+    coeffs = args.coeffs if args.coeffs is not None else (0, 1)
     if 0 not in coeffs:
         raise CommandError("the coefficient set of check submersion must contain 0")
     if args.live_table:
@@ -250,15 +249,15 @@ COMMANDS = {
     ("model", "cohomology"): (_cmd_model_cohomology, [("file", str)], {
         "--max-degree": (_degree, True), "--format": (_one_of("text", "tree"), False)}),
     ("elliptic", "enumerate"): (_cmd_elliptic_enumerate, [], {
-        "--dim": (_degree, True), "--no-prune": (None, False), "--coeffs": (str, False)}),
+        "--dim": (_degree, True), "--no-prune": (None, False), "--coeffs": (_coeffs_from, False)}),
     ("fibration", "fiber-ranks"): (_cmd_fibration_fiber_ranks, [], {
-        "--total": (str, True), "--base": (str, True)}),
+        "--total": (_rank_vector_spec, True), "--base": (_rank_vector_spec, True)}),
     ("fibration", "wang"): (_cmd_fibration_wang, [], {
         "--sphere": (_integer, True), "--total": (str, True), "--fiber-dim": (_integer, True),
         "--known": (lambda text: read_pairs(text, "="), False)}),
     ("check", "submersion"): (_cmd_check_submersion, [], {
-        "--total": (str, True), "--max-base-dim": (_integer, True), "--coeffs": (str, False),
-        "--live-table": (None, False)}),
+        "--total": (str, True), "--max-base-dim": (_integer, True),
+        "--coeffs": (_coeffs_from, False), "--live-table": (None, False)}),
     ("reproduce",): (_cmd_reproduce, [("target", _one_of(*(
         {name: alias for alias, name in _TARGET_ALIASES.items()}.get(t, t)
         for t in REPRODUCE_TARGETS)))], {}),

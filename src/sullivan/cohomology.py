@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, Monomial, SullivanModel, _Record, _Value, validate_model
+from .algebra import Element, SullivanModel, _Record, _Value, validate_model
 from .linalg import RationalMatrix, SparseVec, row_basis
 
 
@@ -134,9 +134,6 @@ class BettiTable(_Value):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: tuple[int, ...]):
-        object.__setattr__(self, "values", values)
-
     def __getitem__(self, k: int) -> int:
         return self.values[k] if 0 <= k < len(self.values) else 0
 
@@ -157,16 +154,7 @@ class CoboundaryVerdict(_Record):
     """
 
     __slots__ = ("is_coboundary", "witness", "functional")
-
-    def __init__(
-        self,
-        is_coboundary: bool,
-        witness: Element | None = None,
-        functional: dict[Monomial, Fraction] | None = None,
-    ):
-        self.is_coboundary = is_coboundary
-        self.witness = witness
-        self.functional = functional
+    _defaults = {"witness": None, "functional": None}
 
 
 def is_coboundary(x: Element) -> CoboundaryVerdict:

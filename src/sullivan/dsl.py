@@ -48,13 +48,7 @@ class ParseError(ValueError):
 
 
 class Token(_Value):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        object.__setattr__(self, "kind", kind)  # "ident", "int", "sym", "end"
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
+    __slots__ = ("kind", "text", "line", "col")  # kind: "ident", "int", "sym", "end"
 
 
 def _tokenize(text: str) -> Iterator[Token]:
@@ -99,11 +93,6 @@ def _tokenize(text: str) -> Iterator[Token]:
 
 class ModelDocument(_Value):
     __slots__ = ("name", "model", "notes")
-
-    def __init__(self, name: str, model: SullivanModel, notes: tuple[str, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "notes", notes)
 
 
 class _Parser:

@@ -50,8 +50,7 @@ class RankVector(_Value):
 
     __slots__ = ("counts",)
 
-    def __init__(self, counts: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "counts", counts)
+    def _check(self):
         degs = [d for d, _ in self.counts]
         if degs != sorted(set(degs)):
             raise ValueError("degrees must be strictly ascending")
@@ -245,20 +244,7 @@ class RealizabilityVerdict(_Record):
     """
 
     __slots__ = ("status", "f", "model", "examined", "note")
-
-    def __init__(
-        self,
-        status: str,
-        f: RankVector,
-        model: SullivanModel | None = None,
-        examined: int = 0,
-        note: str = "",
-    ):
-        self.status = status
-        self.f = f
-        self.model = model
-        self.examined = examined
-        self.note = note
+    _defaults = {"model": None, "examined": 0, "note": ""}
 
 
 def generators_for(

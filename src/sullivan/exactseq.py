@@ -26,11 +26,7 @@ class UnboundedProblemError(ValueError):
 
 
 class Slot(_Value):
-    __slots__ = ("label", "dimension")
-
-    def __init__(self, label: str, dimension: int | None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "dimension", dimension)  # None marks an unknown
+    __slots__ = ("label", "dimension")  # dimension: None marks an unknown
 
     @property
     def known(self) -> bool:
@@ -42,8 +38,7 @@ class ExactSequenceProblem(_Value):
 
     __slots__ = ("slots",)
 
-    def __init__(self, slots: tuple[Slot, ...]):
-        object.__setattr__(self, "slots", slots)
+    def _check(self):
         if len(self.slots) < 3:
             raise ValueError("an exact-sequence problem needs at least 3 slots")
         for end in (self.slots[0], self.slots[-1]):
@@ -62,10 +57,6 @@ class RankSolution(_Value):
     """All slot dimensions plus the rank of every arrow between them."""
 
     __slots__ = ("dimensions", "map_ranks")
-
-    def __init__(self, dimensions: tuple[int, ...], map_ranks: tuple[int, ...]):
-        object.__setattr__(self, "dimensions", dimensions)
-        object.__setattr__(self, "map_ranks", map_ranks)
 
 
 def solve_exact_ranks(p: ExactSequenceProblem) -> list[RankSolution]:

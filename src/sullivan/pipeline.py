@@ -36,6 +36,7 @@ from .algebra import (
     _Value,
     coefficient_box,
     coefficient_set,
+    format_terms,
     search_differentials,
 )
 from .cohomology import (
@@ -121,22 +122,7 @@ class SpaceCatalogEntry(_Value):
     """A pinned witness space: rank vector, dimension, explicit model."""
 
     __slots__ = ("name", "rank_vector", "dim", "model", "aliases", "table_row", "__dict__")
-
-    def __init__(
-        self,
-        name: str,
-        rank_vector: RankVector,
-        dim: int,
-        model: SullivanModel,
-        aliases: tuple[str, ...] = (),
-        table_row: bool = True,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rank_vector", rank_vector)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "aliases", aliases)
-        object.__setattr__(self, "table_row", table_row)
+    _defaults = {"aliases": (), "table_row": True}
 
     @classmethod
     def of(
@@ -233,9 +219,7 @@ class KillCertificate(_Value):
 
     __slots__ = ("kind", "detail")
 
-    def __init__(self, kind: str, detail: dict):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detail", detail)
+    def _check(self):
         if self.kind not in CERTIFICATE_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
@@ -381,13 +365,6 @@ class RelativeWitness(_Value):
 
     __slots__ = ("model", "assignment", "rejected_invalid")
 
-    def __init__(
-        self, model: SullivanModel, assignment: tuple[tuple[str, Element], ...], rejected_invalid: int
-    ):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "rejected_invalid", rejected_invalid)
-
     def assignment_text(self) -> dict[str, str]:
         return {name: str(e) for name, e in self.assignment}
 
@@ -516,23 +493,9 @@ def check_relative_cohomology(
 # -- end-to-end analysis -----------------------------------------------------
 
 class FiberVerdict(_Value):
+    # status: "killed" | "survives-rationally"
     __slots__ = ("fiber", "status", "certificate", "flags", "witness", "checks_run")
-
-    def __init__(
-        self,
-        fiber: RankVector,
-        status: str,
-        certificate: KillCertificate | None = None,
-        flags: tuple[str, ...] = (),
-        witness: dict | None = None,
-        checks_run: tuple[str, ...] = (),
-    ):
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "status", status)  # "killed" | "survives-rationally"
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "checks_run", checks_run)
+    _defaults = {"certificate": None, "flags": (), "witness": None, "checks_run": ()}
 
     @property
     def survives(self) -> bool:
@@ -555,15 +518,6 @@ class FiberVerdict(_Value):
 class BaseAnalysis(_Value):
     __slots__ = ("name", "base", "dim", "fiber_dim", "verdicts")
 
-    def __init__(
-        self, name: str, base: RankVector, dim: int, fiber_dim: int, verdicts: tuple[FiberVerdict, ...]
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "fiber_dim", fiber_dim)
-        object.__setattr__(self, "verdicts", verdicts)
-
     @property
     def survives(self) -> bool:
         return any(v.survives for v in self.verdicts)
@@ -580,20 +534,6 @@ class BaseAnalysis(_Value):
 
 class ObstructionReport(_Value):
     __slots__ = ("total_name", "total", "total_dim", "max_base_dim", "entries")
-
-    def __init__(
-        self,
-        total_name: str,
-        total: RankVector,
-        total_dim: int,
-        max_base_dim: int,
-        entries: tuple[BaseAnalysis, ...],
-    ):
-        object.__setattr__(self, "total_name", total_name)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "total_dim", total_dim)
-        object.__setattr__(self, "max_base_dim", max_base_dim)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def survivors(self) -> tuple[BaseAnalysis, ...]:
@@ -757,13 +697,12 @@ def _reproduce_prop42() -> dict:
         if verdict.certificate.kind != "relative-model-cohomology":
             continue
         detail = verdict.certificate.detail
-        skeleton = model_from_data(detail["skeleton"])
         for row in detail["scan"]["rows"]:
             if row["degree"] == 6 and "image" in row:
                 out["degree6_span"] = {
                     "fiber": detail["fiber"],
                     "forced": {
-                        name: str(element_from_data(skeleton, terms))
+                        name: format_terms(terms)
                         for name, terms in detail["scan"]["assignment"].items()
                     },
                     "rank": row["image_rank"],

@@ -7,6 +7,7 @@ from sullivan.algebra import (
     GeneratorSpec,
     Monomial,
     SullivanModel,
+    format_terms,
     validate_model,
 )
 
@@ -315,3 +316,11 @@ class TestElementBasics:
         assert repr(e) == "x5 - 2*x2*x5"
         assert repr(m.zero()) == "0"
         assert repr(m.constant(Fraction(-3, 4))) == "-3/4"
+        assert repr(Fraction(1, 2) * m.gen("x2") ** 3 - 1) == "-1 + 1/2*x2^3"
+
+    def test_format_terms(self):
+        # the text of (word, coefficient text) terms, as an element prints
+        assert format_terms([]) == "0"
+        assert format_terms([("1", "3")]) == "3"
+        assert format_terms([("x2", "1"), ("x5", "-1")]) == "x2 - x5"
+        assert format_terms([("x2^3", "-1/2"), ("1", "-2")]) == "-1/2*x2^3 - 2"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sullivan.cli import main
+from sullivan.cli import USAGE, main
 from sullivan.dsl import read_int
 from sullivan.ellipticity import RankVector
 
@@ -256,14 +256,16 @@ class TestEllipticEnumerate:
         # each piece is read as a model file reads a coefficient
         code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "4", f"--coeffs={coeffs}")
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: bad coefficient set {coeffs!r}: ")
+        assert err.startswith(f"{USAGE}error: --coeffs: bad coefficient set {coeffs!r}: ")
 
     def test_no_prune_still_reads_coeffs(self, capsys):
         # --no-prune ignores the box, but a malformed --coeffs is an error
         code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "3", "--no-prune",
                              "--coeffs=0,,1")
         assert (code, out) == (2, "")
-        assert err == "error: bad coefficient set '0,,1': line 1, col 3: empty field 2\n"
+        assert err == (
+            f"{USAGE}error: --coeffs: bad coefficient set '0,,1': line 1, col 3: empty field 2\n"
+        )
 
     def test_negative_dim_exits_2(self, capsys):
         code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "-1")
@@ -274,7 +276,7 @@ class TestEllipticEnumerate:
         # an empty value is a bad box, not a request for the default
         code, out, err = run(capsys, "elliptic", "enumerate", "--dim", "4", "--coeffs=")
         assert (code, out) == (2, "")
-        assert "bad coefficient set '': empty" in err
+        assert err == f"{USAGE}error: --coeffs: bad coefficient set '': empty\n"
 
 
 class TestFibration:
@@ -449,7 +451,7 @@ class TestCheckSubmersion:
         code, out, err = run(capsys, "check", "submersion", "--total", "eschenburg",
                              "--max-base-dim", "3", "--coeffs=")
         assert (code, out) == (2, "")
-        assert "bad coefficient set '': empty" in err
+        assert err == f"{USAGE}error: --coeffs: bad coefficient set '': empty\n"
 
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "submersion",
@@ -479,7 +481,7 @@ class TestListReaders:
 
         def total(text):
             _, _, err = run(capsys, "fibration", "fiber-ranks", "--total", text, "--base", "S2")
-            return "error: bad space spec" not in err
+            return "error: --total: bad space spec" not in err
 
         def known(text):
             code, _, err = run(capsys, "fibration", "wang", "--sphere", "2", "--total", "S2xS5",
@@ -489,7 +491,7 @@ class TestListReaders:
 
         def coeffs(text):
             _, _, err = run(capsys, "elliptic", "enumerate", "--dim", "2", "--coeffs", text)
-            return "error: bad coefficient set" not in err
+            return "error: --coeffs: bad coefficient set" not in err
 
         return rank_vector, total, known, coeffs
 

@@ -113,6 +113,81 @@ def test_record_semantics(cls):
     assert getattr(record, name) == values[0]
 
 
+# the fields a record may leave out, with the values they then take
+DEFAULTS = {
+    FiberVerdict: {"certificate": None, "flags": (), "witness": None, "checks_run": ()},
+    GeneratorSpec: {"origin": "plain"},
+    Monomial: {"exps": ()},
+    RealizabilityVerdict: {"model": None, "examined": 0, "note": ""},
+    SpaceCatalogEntry: {"aliases": (), "table_row": True},
+    SullivanModel: {"diff": ()},
+    ValidationReport: {"d_squared_failures": [], "degree_failures": [], "nonminimal_terms": []},
+}
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_keyword_construction(cls):
+    fields = SAMPLES[cls]
+    values = tuple(fields.values())
+    assert cls(**fields) == cls(*values)
+    assert cls(*values[:1], **dict(list(fields.items())[1:])) == cls(*values)
+    defaults = DEFAULTS.get(cls, {})
+    required = {name: value for name, value in fields.items() if name not in defaults}
+    record = cls(**required)
+    assert {name: getattr(record, name) for name in defaults} == defaults
+    for name in required:
+        with pytest.raises(TypeError):
+            cls(**{n: v for n, v in required.items() if n != name})
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_bad_construction_raises_type_error(cls):
+    fields = SAMPLES[cls]
+    values = tuple(fields.values())
+    first = next(iter(fields))
+    with pytest.raises(TypeError):
+        cls(*values, None)  # one value too many
+    with pytest.raises(TypeError):
+        cls(*values, bogus=None)
+    with pytest.raises(TypeError):
+        cls(*values, **{first: values[0]})  # a field given twice
+
+
+SLOTS = (Slot("a", 0), Slot("b", 1), Slot("c", 0))
+RULES = [
+    (GeneratorSpec, {"name": "2x", "degree": 2}, "identifier"),
+    (GeneratorSpec, {"name": "x", "degree": 0}, "degree must be >= 1"),
+    (GeneratorSpec, {"name": "x", "degree": 2, "origin": "total"}, "unknown origin"),
+    (SullivanModel, {"generators": S2.generators * 2}, "duplicate generator"),
+    (SullivanModel, {"generators": S2.generators, "diff": (("y", ()),)}, "unknown generator"),
+    (RankVector, {"counts": ((3, 1), (2, 1))}, "ascending"),
+    (RankVector, {"counts": ((2, 0),)}, "bad entry"),
+    (ExactSequenceProblem, {"slots": SLOTS[:2]}, "at least 3 slots"),
+    (ExactSequenceProblem, {"slots": SLOTS[1:] + SLOTS[:1]}, "must be known zero"),
+    (ExactSequenceProblem, {"slots": (SLOTS[0], Slot("b", -1), SLOTS[2])}, "negative"),
+    (KillCertificate, {"kind": "guess", "detail": {}}, "unknown certificate kind"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message", RULES, ids=[f"{c.__name__}: {m}" for c, _, m in RULES]
+)
+def test_rules_hold_for_keyword_construction(cls, fields, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**fields)
+
+
+def test_only_validation_report_has_its_own_constructor():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    # `import sullivan` has loaded every module that defines a record
+    own = sorted(c.__name__ for c in subclasses(_Record) if "__init__" in vars(c))
+    assert own == ["ValidationReport"]
+
+
 def test_mutable_records_take_fresh_lists():
     first, second = ValidationReport(True), ValidationReport(True)
     first.nonminimal_terms.append(("x", "y"))
