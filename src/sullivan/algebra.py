@@ -52,7 +52,7 @@ ORIGINS = ("plain", "base", "fiber")
 
 
 class _Record:
-    """Base of the package's records.
+    """Base of the package's records, all of one kind: frozen values.
 
     A record's fields are the names in its class's `__slots__` (a
     `__dict__` there holds cached properties only), and the one
@@ -60,17 +60,14 @@ class _Record:
     keyword values, then the class's `_defaults`; too many values, an
     unknown or repeated keyword and a missing field raise TypeError.  It
     then calls `_check`, which a record with rules overrides to raise
-    ValueError.  Two records are equal when they are of one class and their
-    field tuples are equal; repr lists the fields.  A `_Record` is mutable
-    and unhashable, a `_Value` frozen and hashed as its field tuple, as
-    dataclasses would make them.  They are written by hand so that
-    importing the package generates no code and loads neither
-    `dataclasses` nor `typing`; `ValidationReport` alone keeps its own
-    constructor, as its defaults are fresh lists.
+    ValueError.  Assigning or deleting a field raises AttributeError.  Two
+    records are equal when they are of one class and their field tuples
+    are equal, and a record hashes as its field tuple; repr lists the
+    fields.  They are written by hand so that importing the package
+    generates no code and loads neither `dataclasses` nor `typing`.
     """
 
     __slots__ = ()
-    __hash__ = None
     _defaults: dict = {}
 
     def __init__(self, *values, **named):
@@ -101,10 +98,9 @@ class _Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-        if fields:  # _Value adds behaviour, not fields
-            get = attrgetter(*fields)
-            cls._fields = fields
-            cls._astuple = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+        get = attrgetter(*fields)
+        cls._fields = fields
+        cls._astuple = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -114,10 +110,6 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
-
-
-class _Value(_Record):
-    __slots__ = ()
 
     def __hash__(self):
         return hash(self._astuple(self))
@@ -133,7 +125,7 @@ class _Value(_Record):
         return self.__class__, self._astuple(self)
 
 
-class GeneratorSpec(_Value):
+class GeneratorSpec(_Record):
     """One algebra generator: a name, a positive degree, and an origin tag.
 
     The origin tag ("base" / "fiber" / "plain") only matters for relative
@@ -173,7 +165,7 @@ def format_terms(pairs: Iterable[tuple[str, str]]) -> str:
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-class Monomial(_Value):
+class Monomial(_Record):
     """A canonical-form monomial: ((name, exponent), ...) in declaration order.
 
     The unit monomial is the empty tuple.  Monomials are decoded from a
@@ -320,7 +312,7 @@ class Element:
         return format_terms([(mon.format(), str(c)) for mon, c in self.sorted_terms()])
 
 
-class SullivanModel(_Value):
+class SullivanModel(_Record):
     """An immutable free graded-commutative model with differential.
 
     `generators` fixes the declaration order used for canonical monomial
@@ -637,18 +629,6 @@ class ValidationReport(_Record):
 
     __slots__ = ("ok", "d_squared_failures", "degree_failures", "nonminimal_terms")
 
-    def __init__(
-        self,
-        ok: bool,
-        d_squared_failures: list[tuple[str, str]] | None = None,
-        degree_failures: list[tuple[str, str]] | None = None,
-        nonminimal_terms: list[tuple[str, str]] | None = None,
-    ):
-        self.ok = ok
-        self.d_squared_failures = [] if d_squared_failures is None else d_squared_failures
-        self.degree_failures = [] if degree_failures is None else degree_failures
-        self.nonminimal_terms = [] if nonminimal_terms is None else nonminimal_terms
-
     def summary(self) -> str:
         if self.ok:
             return "ok"
@@ -670,23 +650,22 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
     least two factors counted with multiplicity.  The checks run on the
     compiled tables; an Element is made only to print a failure.
     """
-    report = ValidationReport(ok=True)
+    d_squared, degree, nonminimal = [], [], []
     tables = model._tables
     for g, rows in zip(model.generators, tables.dgen):
         if not rows:
             continue
         terms = [(vec, c) for vec, _, c in rows]
         if {tables.degree(vec) for vec, _ in terms} != {g.degree + 1}:
-            report.degree_failures.append((g.name, repr(Element(model, dict(terms)))))
+            degree.append((g.name, repr(Element(model, dict(terms)))))
         dd = tables.derive(terms)
         if dd:
-            report.d_squared_failures.append((g.name, repr(Element(model, dd))))
+            d_squared.append((g.name, repr(Element(model, dd))))
         if require_minimal:
             for vec, _ in terms:
                 if sum(vec) < 2:
-                    report.nonminimal_terms.append((g.name, tables.decode(vec).format()))
-    report.ok = not (report.d_squared_failures or report.degree_failures or report.nonminimal_terms)
-    return report
+                    nonminimal.append((g.name, tables.decode(vec).format()))
+    return ValidationReport(not (d_squared or degree or nonminimal), d_squared, degree, nonminimal)
 
 
 # -- differential search -------------------------------------------------

@@ -67,6 +67,15 @@ def _degree(text: str) -> int:
     return value
 
 
+def _known(text: str) -> dict[int, int]:
+    """Fiber Betti numbers pinned as k=v pairs, for --known."""
+    pins = read_pairs(text, "=")
+    for k, v in pins.items():
+        if v < 0:
+            raise ValueError(f"a Betti number is not negative, got {k}={v}")
+    return pins
+
+
 def _read_model(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -176,9 +185,6 @@ def _cmd_fibration_fiber_ranks(args) -> int:
 
 def _cmd_fibration_wang(args) -> int:
     total = _total_entry(args.total)
-    for k, v in (args.known or {}).items():
-        if v < 0:
-            raise CommandError(f"bad --known entry '{k}={v}': a Betti number is not negative")
     try:
         solutions = wang_fiber_betti(
             args.sphere, total.betti, args.fiber_dim, known_fiber=args.known
@@ -254,7 +260,7 @@ COMMANDS = {
         "--total": (_rank_vector_spec, True), "--base": (_rank_vector_spec, True)}),
     ("fibration", "wang"): (_cmd_fibration_wang, [], {
         "--sphere": (_integer, True), "--total": (str, True), "--fiber-dim": (_integer, True),
-        "--known": (lambda text: read_pairs(text, "="), False)}),
+        "--known": (_known, False)}),
     ("check", "submersion"): (_cmd_check_submersion, [], {
         "--total": (str, True), "--max-base-dim": (_integer, True),
         "--coeffs": (_coeffs_from, False), "--live-table": (None, False)}),

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, SullivanModel, _Record, _Value, validate_model
+from .algebra import Element, SullivanModel, _Record, validate_model
 from .linalg import RationalMatrix, SparseVec, row_basis
 
 
@@ -129,7 +129,7 @@ def betti(model: SullivanModel, k: int) -> int:
     return dim_k - rank_in - len(_row_basis(model, k))
 
 
-class BettiTable(_Value):
+class BettiTable(_Record):
     """Betti numbers b_0..b_top as a tuple."""
 
     __slots__ = ("values",)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSpec, SullivanModel, _Value, format_word
+from .algebra import Element, GeneratorSpec, SullivanModel, _Record, format_word
 
 KEYWORDS = ("space", "generator", "d", "base", "fiber")
 
@@ -47,7 +47,7 @@ class ParseError(ValueError):
         super().__init__(where)
 
 
-class Token(_Value):
+class Token(_Record):
     __slots__ = ("kind", "text", "line", "col")  # kind: "ident", "int", "sym", "end"
 
 
@@ -91,7 +91,7 @@ def _tokenize(text: str) -> Iterator[Token]:
     yield Token("end", "", line, col)
 
 
-class ModelDocument(_Value):
+class ModelDocument(_Record):
     __slots__ = ("name", "model", "notes")
 
 

@@ -36,7 +36,6 @@ from .algebra import (
     Scalar,
     SullivanModel,
     _Record,
-    _Value,
     coefficient_box,
     coefficient_set,
     search_differentials,
@@ -45,7 +44,7 @@ from .dsl import read_pairs
 from .linalg import extend_echelon
 
 
-class RankVector(_Value):
+class RankVector(_Record):
     """Sparse map degree -> rank, degrees ascending, zero ranks dropped."""
 
     __slots__ = ("counts",)

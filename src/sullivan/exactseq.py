@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .algebra import _Value
+from .algebra import _Record
 from .cohomology import BettiTable
 from .ellipticity import RankVector, canonical_sorted
 
@@ -25,7 +25,7 @@ class UnboundedProblemError(ValueError):
     """Raised when consecutive unknown slots leave a dimension unbounded."""
 
 
-class Slot(_Value):
+class Slot(_Record):
     __slots__ = ("label", "dimension")  # dimension: None marks an unknown
 
     @property
@@ -33,7 +33,7 @@ class Slot(_Value):
         return self.dimension is not None
 
 
-class ExactSequenceProblem(_Value):
+class ExactSequenceProblem(_Record):
     """Slots of an exact sequence, ends pinned to zero."""
 
     __slots__ = ("slots",)
@@ -53,7 +53,7 @@ class ExactSequenceProblem(_Value):
         return cls(tuple(Slot(label, dim) for label, dim in entries))
 
 
-class RankSolution(_Value):
+class RankSolution(_Record):
     """All slot dimensions plus the rank of every arrow between them."""
 
     __slots__ = ("dimensions", "map_ranks")

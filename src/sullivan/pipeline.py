@@ -33,7 +33,7 @@ from .algebra import (
     Element,
     GeneratorSpec,
     SullivanModel,
-    _Value,
+    _Record,
     coefficient_box,
     coefficient_set,
     format_terms,
@@ -118,7 +118,7 @@ def _build_model(factors: Sequence[tuple[str, int]]) -> SullivanModel:
     return model.with_differentials({t: model.word(((s, e),)) for t, s, e in rules})
 
 
-class SpaceCatalogEntry(_Value):
+class SpaceCatalogEntry(_Record):
     """A pinned witness space: rank vector, dimension, explicit model."""
 
     __slots__ = ("name", "rank_vector", "dim", "model", "aliases", "table_row", "__dict__")
@@ -207,7 +207,7 @@ def model_from_data(data: Mapping) -> SullivanModel:
 
 # -- kill certificates -------------------------------------------------------
 
-class KillCertificate(_Value):
+class KillCertificate(_Record):
     """A machine-checkable reason a fiber case cannot occur.
 
     detail is JSON-ready and self-contained.  revalidate() reruns the check
@@ -359,7 +359,7 @@ def _coeff_tuple(coeff_set: Sequence) -> tuple:
     return (0, *(c for c in cs if c != 0))
 
 
-class RelativeWitness(_Value):
+class RelativeWitness(_Record):
     """A differential assignment matching the target cohomology, and the
     number of points the search dropped by the d*d check on its way."""
 
@@ -492,7 +492,7 @@ def check_relative_cohomology(
 
 # -- end-to-end analysis -----------------------------------------------------
 
-class FiberVerdict(_Value):
+class FiberVerdict(_Record):
     # status: "killed" | "survives-rationally"
     __slots__ = ("fiber", "status", "certificate", "flags", "witness", "checks_run")
     _defaults = {"certificate": None, "flags": (), "witness": None, "checks_run": ()}
@@ -515,7 +515,7 @@ class FiberVerdict(_Value):
         return out
 
 
-class BaseAnalysis(_Value):
+class BaseAnalysis(_Record):
     __slots__ = ("name", "base", "dim", "fiber_dim", "verdicts")
 
     @property
@@ -532,7 +532,7 @@ class BaseAnalysis(_Value):
         }
 
 
-class ObstructionReport(_Value):
+class ObstructionReport(_Record):
     __slots__ = ("total_name", "total", "total_dim", "max_base_dim", "entries")
 
     @property

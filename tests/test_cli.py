@@ -350,7 +350,7 @@ class TestFibration:
                              "--total", "S2xS3", "--fiber-dim", "2",
                              "--known", "0=-1")
         assert (code, out) == (2, "")
-        assert err.startswith("error: bad --known entry '0=-1'")
+        assert err == USAGE + "error: --known: a Betti number is not negative, got 0=-1\n"
 
     @pytest.mark.parametrize("argv", [
         ("--sphere", "\uff12", "--fiber-dim", "2"),

@@ -27,7 +27,9 @@ from sullivan import (
     SullivanModel,
     ValidationReport,
 )
-from sullivan.algebra import _Record, _Value
+from sullivan.algebra import _Record, validate_model
+from sullivan.cohomology import CoboundaryVerdict
+from sullivan.dsl import Token
 from sullivan.exactseq import Slot
 
 SRC = Path(__file__).parent.parent / "src"
@@ -69,7 +71,6 @@ SAMPLES = {
         "nonminimal_terms": [("c", "d")],
     },
 }
-MUTABLE = {RealizabilityVerdict, ValidationReport}
 
 
 def test_every_exported_record_has_a_sample():
@@ -92,16 +93,9 @@ def test_record_semantics(cls):
         f"{name}={value!r}" for name, value in fields.items()
     ) + ")"
     name = next(iter(fields))
-    if cls in MUTABLE:
-        assert not isinstance(record, _Value)
-        with pytest.raises(TypeError):
-            hash(record)
-        setattr(twin, name, "changed")
-        assert record != twin
-        return
     try:
         expected = hash(values)
-    except TypeError:  # a dict field, as in a dataclass
+    except TypeError:  # a list or dict field, as in a dataclass
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -121,7 +115,6 @@ DEFAULTS = {
     RealizabilityVerdict: {"model": None, "examined": 0, "note": ""},
     SpaceCatalogEntry: {"aliases": (), "table_row": True},
     SullivanModel: {"diff": ()},
-    ValidationReport: {"d_squared_failures": [], "degree_failures": [], "nonminimal_terms": []},
 }
 
 
@@ -177,21 +170,53 @@ def test_rules_hold_for_keyword_construction(cls, fields, message):
         cls(**fields)
 
 
-def test_only_validation_report_has_its_own_constructor():
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
-
-    # `import sullivan` has loaded every module that defines a record
-    own = sorted(c.__name__ for c in subclasses(_Record) if "__init__" in vars(c))
-    assert own == ["ValidationReport"]
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
 
 
-def test_mutable_records_take_fresh_lists():
-    first, second = ValidationReport(True), ValidationReport(True)
-    first.nonminimal_terms.append(("x", "y"))
-    assert second.nonminimal_terms == [] and second.degree_failures == []
+# `import sullivan` has loaded every module that defines a record
+RECORDS = sorted(subclasses(_Record), key=lambda c: c.__name__)
+
+
+def test_no_record_has_its_own_constructor_or_setter():
+    own = [
+        c.__name__ for c in RECORDS
+        if {"__init__", "__setattr__", "__delattr__"} & set(vars(c))
+    ]
+    assert own == []
+
+
+# a built instance of every record, the unexported ones included
+INSTANCES = {
+    **{cls: cls(*fields.values()) for cls, fields in SAMPLES.items()},
+    Token: Token("int", "2", 1, 1),
+    Slot: SLOTS[1],
+    CoboundaryVerdict: CoboundaryVerdict(False, functional={}),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_every_record_is_frozen(cls):
+    record = INSTANCES[cls]
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.bogus = None
+
+
+def test_validate_model_builds_its_report_in_one_call():
+    # a d*d, a degree and a minimality failure, so no list is empty
+    free = SullivanModel.free([("x2", 2), ("z4", 4), ("w5", 5)])
+    x2, z4 = free.gen("x2"), free.gen("z4")
+    report = validate_model(free.with_differentials({"z4": x2 * x2, "w5": x2 ** 3 - z4}))
+    fields = [getattr(report, name) for name in report._fields]
+    assert fields[0] is False and all(isinstance(f, list) and f for f in fields[1:])
+    assert report == ValidationReport(*fields)
 
 
 def test_import_loads_no_dataclasses_typing_inspect_or_pathlib():
