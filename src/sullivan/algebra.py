@@ -376,6 +376,12 @@ class SullivanModel(_Record):
         # with the model and, not being a field, stays out of == and hash
         return _Tables(self)
 
+    @cached_property
+    def _first_defect(self) -> float:
+        # least degree of a g with d(g) not of degree |g| + 1 or d(d(g)) != 0, or a lower bound
+        validate_model(self, require_minimal=False)
+        return self.__dict__["_first_defect"]
+
     @property
     def generator_index(self) -> Mapping[str, int]:
         return self._tables.index
@@ -648,7 +654,8 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
     d*d = 0 is checked on generators only, which suffices by the Leibniz
     rule.  Minimality asks every term of every d(generator) to have at
     least two factors counted with multiplicity.  The checks run on the
-    compiled tables; an Element is made only to print a failure.
+    compiled tables; an Element is made only to print a failure.  The
+    least degree failing the degree or d*d check is the `_first_defect`.
     """
     d_squared, degree, nonminimal = [], [], []
     tables = model._tables
@@ -665,6 +672,8 @@ def validate_model(model: SullivanModel, require_minimal: bool = True) -> Valida
             for vec, _ in terms:
                 if sum(vec) < 2:
                     nonminimal.append((g.name, tables.decode(vec).format()))
+    failing = [model.degree_of(name) for name, _ in degree + d_squared]
+    model.__dict__["_first_defect"] = min(failing, default=float("inf"))
     return ValidationReport(not (d_squared or degree or nonminimal), d_squared, degree, nonminimal)
 
 
@@ -691,12 +700,12 @@ def _dd_test(
     z: str,
     monomials: Sequence[Vector],
     checkable: Sequence[Element],
-    later: set[str],
+    deferred: Sequence[int],
 ) -> Callable[[Sequence[Scalar]], bool]:
     """The d*d test on the points c of d(z) = v = sum c_k m_k over model,
     where d(z) is 0 and the m_k are exponent vectors: a point passes iff
-    d(w) = 0 for each w in checkable and, unless v touches a generator in
-    later, d(v) = 0.
+    d(w) = 0 for each w in checkable and, unless c_j != 0 for some j in
+    deferred (the m_j that touch a generator not yet assigned), d(v) = 0.
 
     d is a derivation, so d(x) = d_0(x) + sum c_k delta_k(x), where d_0 is
     the model's d and delta_k the derivation that sends z to m_k and every
@@ -730,8 +739,6 @@ def _dd_test(
             for k, dgen in enumerate(swaps):
                 for vec, q in tables.derive([(m, 1)], dgen).items():
                     quadratic.setdefault(vec, ([], []))[1].append((j, k, q))
-    later_positions = [tables.index[name] for name in later]
-    deferred = [j for j, m in enumerate(monomials) if any(m[q] for q in later_positions)]
     squares = list(quadratic.values())
 
     def passes(c: Sequence[Scalar]) -> bool:
@@ -762,49 +769,56 @@ def search_differentials(
     model has d = 0 on gens.
 
     The path lists the (number, value) choices made for gens[:len(path)].
-    options(path) gives the next generator's candidate monomials m_1..m_M,
-    exponent vectors over model's generator list, and a stream of
-    numbered coefficient points c (`coefficient_box`), each the value
-    sum c_k m_k.  A point is dropped, and counted, when some d(v) != 0, v
-    its value or an earlier one, checked as soon as every generator v
-    touches is assigned; generators outside gens count as assigned from
-    the start.  `_dd_test` decides this per point from
-    vectors computed once per node, so only a point that passes becomes
-    an Element and a model.  node(path, model) runs at every node, the
-    root included, and returns False to prune there.  leaf(path, model)
-    runs at every complete assignment; its first result other than None
-    ends the search.  Returns that result (None once the tree is
-    exhausted) and the number of points dropped by the d*d check.
+    options(path) gives the next generator z's candidate monomials m_1..m_M,
+    exponent vectors of degree |z| + 1 over model's generator list, and a
+    stream of numbered coefficient points c (`coefficient_box`), each the
+    value v = sum c_k m_k.  A point is dropped, and counted, when d(v) != 0
+    or d(w) != 0 for an earlier value w, each checked at the node whose
+    depth is its readiness: the last depth in gens of a generator it
+    touches, or -1.  `_dd_test` decides this from vectors computed once per
+    node, so only a point that passes becomes an Element and a model.  The
+    model records as its `_first_defect` a lower bound: the least of model's
+    first defect and the degrees of the generators whose value is pending
+    or, outside gens, whose d involves gens.  For it differs from model only
+    on gens, where an unassigned g has d = 0 and a checked one d(d(g)) = 0
+    for good, its value touching only generators already assigned.
+    node(path, model) runs at every node, the root included, and returns
+    False to prune there.  leaf(path, model) runs at every complete
+    assignment; its first result other than None ends the search.  Returns
+    that result (None once the tree is exhausted) and the number of points
+    dropped by the d*d check.
     """
-    names = [g.name for g in gens]
-    all_names = model.generator_names
+    places = [model.generator_index[g.name] for g in gens]  # by depth
+    floor = min([model._first_defect] + [model.degree_of(name) for name, terms in model.diff
+                                          if any(vec[p] for vec, _ in terms for p in places)])
     path: SearchPath = []
     dropped = 0
 
     def walk(current: SullivanModel, pending: list) -> object:
+        # pending: (degree of g, d(g), readiness) for the values unchecked
         nonlocal dropped
         if not node(path, current):
             return None
         depth = len(path)
-        if depth == len(names):
+        if depth == len(gens):
             return leaf(path, current)
-        z, later = names[depth], set(names[depth + 1:])
+        z, degree = gens[depth].name, gens[depth].degree
         monomials, points = options(path)
-        passes = _dd_test(
-            current, z, monomials, [w for w, used in pending if not used & later], later
-        )
-        pending = [(w, used) for w, used in pending if used & later]
+        ready = [max([i for i, p in enumerate(places) if m[p]], default=-1) for m in monomials]
+        deferred = [j for j, r in enumerate(ready) if r > depth]
+        passes = _dd_test(current, z, monomials, [w for _, w, r in pending if r == depth], deferred)
+        pending = [entry for entry in pending if entry[2] > depth]
         for number, combo in points:
             if not passes(combo):
                 dropped += 1
                 continue
             value = Element(model, dict(zip(monomials, combo)))
-            used = {all_names[p] for vec in value._terms for p, e in enumerate(vec) if e}
+            r = max([ready[j] for j, c in enumerate(combo) if c], default=-1)
+            waiting = [(degree, value, r)] + pending if r > depth else pending
+            child = current.with_differentials({z: value})
+            child.__dict__["_first_defect"] = min([floor] + [deg for deg, _, _ in waiting])
             path.append((number, value))
-            found = walk(
-                current.with_differentials({z: value}),
-                [(value, used)] + pending if used & later else pending,
-            )
+            found = walk(child, waiting)
             path.pop()
             if found is not None:
                 return found

@@ -11,10 +11,10 @@ Slusarek, 1998): if P indexes a row basis of d_(k-1) and d_k d_(k-1) =
 0, then each column of d_k at P is a combination of the columns outside
 P, so d_k is ranked, and a row basis of it found, on those dim_k -
 r_(k-1) = r_k + b_k columns alone.  Each model keeps the row bases it
-has ranked, and skips columns only below its least generator degree on
-which `validate_model` finds that d fails to be a differential (d(g) not
-of degree |g| + 1, or d(d(g)) != 0): d*d is a derivation, so below that
-degree it vanishes.
+has ranked, and skips columns only below its `_first_defect`: the least
+degree of a generator g with d(g) not of degree |g| + 1 or d(d(g)) != 0,
+which `validate_model` records, or a lower bound that the search which
+built the model recorded; d*d is a derivation, so below it d*d vanishes.
 An invalid model, such as a search node or a zero-padded scan model,
 thus reads from that degree on the ranks of its full matrices.
 """
@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, SullivanModel, _Record, validate_model
+from .algebra import Element, SullivanModel, _Record
 from .linalg import RationalMatrix, SparseVec, row_basis
 
 
@@ -77,23 +77,6 @@ def coboundary_matrix(model: SullivanModel, k: int) -> RationalMatrix:
     return RationalMatrix(columns, model.dimension_of_degree(k + 1)).transpose()
 
 
-def _first_defect(model: SullivanModel) -> float:
-    """The least degree of a generator g on which d fails to be a
-    differential, as `validate_model` finds it: d(g) not homogeneous of
-    degree |g| + 1, or d(d(g)) != 0; infinity if there is none.  d*d is a
-    derivation, so it vanishes on every monomial of degree below this one,
-    and there d is homogeneous.  Computed once per model, kept in its
-    __dict__."""
-    found = model.__dict__.get("_first_defect")
-    if found is None:
-        report = validate_model(model, require_minimal=False)
-        found = model.__dict__["_first_defect"] = min(
-            (model.degree_of(name) for name, _ in report.degree_failures + report.d_squared_failures),
-            default=float("inf"),
-        )
-    return found
-
-
 def _row_basis(model: SullivanModel, k: int) -> set[int]:
     """Positions in the (k+1)-basis of a row basis of d_k, whose size is
     the rank of d_k, memoised per model in its __dict__.
@@ -104,15 +87,15 @@ def _row_basis(model: SullivanModel, k: int) -> set[int]:
     and a row basis, of its dim_k - r_(k-1) = r_k + b_k columns outside
     P, and only those are assembled.  The skip needs the row basis of
     d_(k-1) in the memo, as Betti numbers read in ascending degree leave
-    it, and k below the model's first defect (`_first_defect`), so that
-    d*d = 0 on degree k - 1; otherwise every column is ranked.
+    it, and k below the model's `_first_defect`, so that d*d = 0 on degree
+    k - 1; otherwise every column is ranked.
     """
     memo = model.__dict__.setdefault("_row_bases", {})
     found = memo.get(k)
     if found is None:
         positions = range(model.dimension_of_degree(k))
         skip = memo.get(k - 1)
-        if skip and k < _first_defect(model):
+        if skip and k < model._first_defect:
             positions = [p for p in positions if p not in skip]
         found = memo[k] = row_basis(coboundary_columns(model, k, positions))
     return found

@@ -388,12 +388,13 @@ def _walk_pure_models(
     box = f"coefficients from {sorted(map(str, coeffs))}"
     # echelons[i][s]: slice s of the ideal of dy over the first i odds
     echelons: list = [_extend_slices(free, slices, [{} for _ in slices], 0, ())] * (len(odds) + 1)
-    examined = 0
+    examined, refused = 0, False
 
     def counted(points):
-        nonlocal examined
+        nonlocal examined, refused
         for point in points:
             if examined == max_models:
+                refused = True
                 return
             examined += 1
             yield point
@@ -419,7 +420,7 @@ def _walk_pure_models(
     verdict, _ = search_differentials(free, odds, options, node, leaf)
     if verdict is not None:
         return verdict
-    if examined == max_models:
+    if refused:
         note = f"budget of {max_models} pure models exhausted"
         return RealizabilityVerdict("inconclusive", f, None, examined, note)
     note = f"no pure model with {box} has finite cohomology"
@@ -440,8 +441,10 @@ def realizable(
     the associated pure model (dx = 0, dy the pure-even part of dy) of an
     elliptic minimal model in the box is elliptic and in the box too (FHT
     GTM 205, section 32).  So "unrealizable" is a proof over the named
-    box, and "inconclusive" means the walk reached max_models first.
+    box, and "inconclusive" means the walk stopped short at max_models.
     """
+    if max_models is not None and max_models < 0:
+        raise ValueError(f"max_models must not be negative, got {max_models}")
     if any(d < 2 for d in f.support):
         raise ValueError("realizability requires a simply connected rank vector")
     failing = sac_violation(f)

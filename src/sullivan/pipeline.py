@@ -438,7 +438,7 @@ def check_relative_cohomology(
 
     def leaf(path, model):
         # every value passed the search's d*d check and has the right
-        # degree by construction, so a leaf is a valid model
+        # degree, so a leaf is valid: the search records its defect as inf
         return model, tuple((g.name, v) for g, (_, v) in zip(fiber_gens, path))
 
     found, dropped = search_differentials(skeleton, fiber_gens, options, node, leaf)

@@ -37,6 +37,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestValidatedOnce:
+    # generator names of each command's own, so that no earlier test
+    # leaves the model's Betti numbers in the cache
+    @pytest.mark.parametrize("command", ["cohomology", "check"])
+    def test_model_file_validated_once(self, capsys, tmp_path, validations, command):
+        path = tmp_path / "once.model"
+        path.write_text(
+            f"space Once {{\n    generator p_{command} : 2;\n    generator q_{command} : 3;\n"
+            f"    d q_{command} = p_{command}^2;\n}}\n"
+        )
+        code, out, _ = run(capsys, "model", command, str(path), "--max-degree", "6")
+        assert code == 0
+        assert "1 0 1 0 0 0 0" in out
+        assert len(validations) == 1
+
+
 class TestModelCheck:
     def test_ok(self, capsys, cp2_file):
         code, out, err = run(capsys, "model", "check", cp2_file,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan import cohomology, linalg
+from sullivan import algebra, cohomology, linalg
 from sullivan.algebra import Monomial, SullivanModel
 from sullivan.cohomology import (
     BettiTable,
@@ -360,3 +360,23 @@ class TestBenchmarkWorkerContract:
                 items = verdict.functional.items()
             assert all(type(mon) is Monomial and type(c) is Fraction for mon, c in items)
             assert [[mon.format(), str(c)] for mon, c in items] == pairs
+
+
+class TestValidatedOnce:
+    """Whether d is a differential is decided once per model: `betti`
+    reads the first defect that validation recorded.  Each case builds a
+    model of its own, so that no earlier test leaves its Betti numbers in
+    the cache."""
+
+    def test_betti_table_validates_a_new_model(self, validations):
+        free = SullivanModel.free([("a_lazy2", 2), ("b_lazy3", 3)])
+        model = free.with_differentials({"b_lazy3": free.gen("a_lazy2") ** 2})
+        assert betti_table(model, 6).values == (1, 0, 1, 0, 0, 0, 0)
+        assert validations == [model]
+
+    def test_validate_then_betti_table(self, validations):
+        free = SullivanModel.free([("a_once2", 2), ("b_once5", 5)])
+        model = free.with_differentials({"b_once5": free.gen("a_once2") ** 3})
+        assert algebra.validate_model(model).ok
+        assert betti_table(model, 6).values == (1, 0, 1, 0, 1, 0, 0)
+        assert validations == [model]

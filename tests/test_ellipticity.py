@@ -288,6 +288,9 @@ class TestRealizability:
         v = realizable(RankVector.parse("2:1,3:1"), coeff_set=(0,), max_models=0)
         assert (v.status, v.examined) == ("inconclusive", 0)
         assert "budget" in v.note
+        # a budget equal to the box leaves no point unbuilt: the walk is complete
+        v = realizable(RankVector.parse("2:1,3:1"), coeff_set=(0,), max_models=1)
+        assert (v.status, v.examined) == ("unrealizable", 1)
         # the (0, 1) walk on {2:3, 3:3} builds 392 pure models, the last realized
         f = RankVector.parse("2:3,3:3")
         box = (Fraction(0), Fraction(1))
@@ -295,6 +298,10 @@ class TestRealizability:
         assert (short.status, short.examined, short.model) == ("inconclusive", 391, None)
         enough = _walk_pure_models(f, box, max_models=392)
         assert (enough.status, enough.examined) == ("realized", 392)
+
+    def test_negative_budget_raises(self):
+        with pytest.raises(ValueError, match="max_models"):
+            realizable(RankVector.parse("2:1,3:1"), coeff_set=(0,), max_models=-1)
 
     def test_repeated_coefficients_dropped(self):
         f = RankVector.parse("2:3,3:3")

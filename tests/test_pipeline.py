@@ -268,6 +268,8 @@ class TestRelativeModelFamily:
             (("z2", "x3"), ("z5", "0")),
         ]
         for _, model in found:
+            # recorded by the search, before validate_model writes its own
+            assert model.__dict__["_first_defect"] == float("inf")
             assert validate_model(model, require_minimal=False).ok
 
     def test_base_generators_marked(self):

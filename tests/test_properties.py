@@ -4,9 +4,11 @@ Each suite runs at least a thousand seeded cases on small inputs (models
 with at most 6 generators in degrees up to 9, exact sequences with slot
 dimensions up to 3), so failures reproduce deterministically.  The search
 suite compares `search_differentials` with a walk that builds a model
-for every point, on boxes sampled by a fixed stride.
+for every point, on boxes sampled by a fixed stride, and checks the
+first-defect bound it records on each model against `validate_model`.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -1106,19 +1108,72 @@ class TestSearchAgainstPerPointWalk:
         skeleton, gens = _relative_skeleton(find_entry(base).model, RankVector.parse(fiber))
         coeffs = _coeff_tuple(box)
         candidates = [_candidate_monomials(skeleton, g) for g in gens]
-        leaves = []
-
-        def leaf(path, model):
-            leaves.append(list(path))
-
-        _, dropped = search_differentials(
-            skeleton, gens, sampled_options(candidates, coeffs, 12, 600),
-            lambda path, model: True, leaf,
-        )
+        leaves, dropped, _ = bounded_search(base, fiber, box)
         want, want_dropped = per_point_walk(
             skeleton, gens, sampled_options(candidates, coeffs, 12, 600)
         )
         assert dropped == want_dropped
-        assert [[(n, str(v)) for n, v in p] for p in leaves] == [
-            [(n, str(v)) for n, v in p] for p in want
+        assert leaves == [[(n, str(v)) for n, v in p] for p in want]
+
+    def test_some_node_is_invalid(self):
+        # the bound is tested on models whose d*d fails somewhere too
+        invalid = [
+            bounded_search(base, fiber, box)[2] for base, fiber in self.SKELETONS for box in self.BOXES
         ]
+        assert sum(invalid) >= 1, invalid
+
+
+def validated_defect(model):
+    """The first defect that `validate_model` finds, on a copy of model,
+    so that the bound model records stays as it is."""
+    copy = SullivanModel(model.generators, model.diff)
+    report = validate_model(copy, require_minimal=False)
+    failing = report.degree_failures + report.d_squared_failures
+    assert copy._first_defect == min((model.degree_of(n) for n, _ in failing), default=math.inf)
+    return copy._first_defect
+
+
+@functools.lru_cache(maxsize=None)
+def bounded_search(base, fiber, box):
+    """`search_differentials` over a relative skeleton, on the sampled box,
+    with a node callback that asserts the model's recorded `_first_defect`
+    is at most the one `validate_model` finds: the leaves' paths as text,
+    the drop count and the number of nodes whose d fails to be a
+    differential."""
+    skeleton, gens = _relative_skeleton(find_entry(base).model, RankVector.parse(fiber))
+    candidates = [_candidate_monomials(skeleton, g) for g in gens]
+    leaves, invalid = [], 0
+
+    def node(path, model):
+        nonlocal invalid
+        found = validated_defect(model)
+        assert model._first_defect <= found, (path, model._first_defect, found)
+        invalid += found < math.inf
+        return True
+
+    def leaf(path, model):
+        leaves.append([(n, str(v)) for n, v in path])
+
+    _, dropped = search_differentials(
+        skeleton, gens, sampled_options(candidates, _coeff_tuple(box), 12, 600), node, leaf
+    )
+    return leaves, dropped, invalid
+
+
+def test_bound_covers_a_generator_outside_gens():
+    """d(h4) = z3*x2 involves z3, so d(d(h4)) = d(z3)*x2 changes with the
+    search's value of d(z3) and is never checked by it: every model built
+    records at most |h4| = 4, and d(z3) = x2^2 makes d(d(h4)) = x2^3."""
+    free = SullivanModel.free([("x2", 2), ("z3", 3), ("h4", 4)])
+    model = free.with_differentials({"h4": free.gen("z3") * free.gen("x2")})
+    seen = []
+
+    def node(path, built):
+        seen.append((built._first_defect, validated_defect(built)))
+        return True
+
+    def options(path):
+        return [(2, 0, 0)], coefficient_box(1, (0, 1))  # d(z3) = c * x2^2
+
+    assert search_differentials(model, [model.generator("z3")], options, node, lambda p, m: None) == (None, 0)
+    assert seen == [(math.inf, math.inf), (4, math.inf), (4, 4)]
